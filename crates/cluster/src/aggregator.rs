@@ -16,20 +16,19 @@
 //! The router answers the `fleet` wire verb from the [`AggregatorHandle`]
 //! (compute is in-memory over the ring: no upstream I/O, so it stays
 //! live while shards are down), and `repro cluster` exports the ring
-//! losslessly on drain for offline post-mortems. [`parse_ring`] is the
-//! other half of that contract: re-reading an exported ring and running
-//! [`compute_view`] reproduces the live verb's numbers exactly.
+//! losslessly on drain for offline post-mortems.
+//! [`silentcert_obs::fleet::parse_ring`] is the other half of that
+//! contract: re-reading an exported ring and running [`compute_view`]
+//! reproduces the live verb's numbers exactly.
 
 use crate::directory::{Directory, ShardHealth};
 use crate::router::MetricsBase;
 use silentcert_net::scatter::{scatter_lines, ScatterTarget};
 use silentcert_obs::fleet::{
-    compute_view, export_ring, BurnWindow, FleetSample, FleetView, SampleRing, ShardSample,
-    SloConfig,
+    compute_view, export_ring, FleetView, SampleRing, ShardSample, SloConfig,
 };
-use silentcert_obs::metrics::{HistogramSnapshot, SeriesValue, Snapshot, NUM_BUCKETS};
+use silentcert_obs::metrics::{parse_wire_response, Snapshot};
 use silentcert_obs::Clock;
-use silentcert_serve::json::{self, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -217,201 +216,5 @@ impl Drop for Aggregator {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-/// Parse one shard's `metrics`/`wire` response line into a snapshot.
-fn parse_wire_response(line: &str) -> Option<Snapshot> {
-    let v = json::parse(line).ok()?;
-    if v.get("code").and_then(Value::as_f64) != Some(200.0) {
-        return None;
-    }
-    snapshot_from_wire(v.get("metrics")?)
-}
-
-/// Rebuild a [`Snapshot`] from its wire JSON form
-/// ([`Snapshot::render_wire_json`]): `{"c":n}` counter, `{"g":n}`
-/// gauge, `{"h":{"count","sum","b":[[bucket,count],...]}}` histogram.
-pub fn snapshot_from_wire(v: &Value) -> Option<Snapshot> {
-    let map = v.as_object()?;
-    let mut snap = Snapshot::default();
-    for (key, val) in map {
-        let series = if let Some(c) = val.get("c") {
-            SeriesValue::Counter(c.as_f64()? as u64)
-        } else if let Some(g) = val.get("g") {
-            SeriesValue::Gauge(g.as_f64()? as i64)
-        } else if let Some(h) = val.get("h") {
-            let count = h.get("count").and_then(Value::as_f64)? as u64;
-            let sum = h.get("sum").and_then(Value::as_f64)? as u64;
-            let mut buckets = vec![0u64; NUM_BUCKETS];
-            for pair in h.get("b").and_then(Value::as_array)? {
-                let p = pair.as_array()?;
-                let idx = p.first().and_then(Value::as_f64)? as usize;
-                let n = p.get(1).and_then(Value::as_f64)? as u64;
-                if idx >= NUM_BUCKETS {
-                    return None;
-                }
-                buckets[idx] = n;
-            }
-            SeriesValue::Histogram(HistogramSnapshot {
-                buckets,
-                count,
-                sum,
-            })
-        } else {
-            return None;
-        };
-        snap.series.insert(key.clone(), series);
-    }
-    Some(snap)
-}
-
-/// Parse a ring export ([`silentcert_obs::fleet::export_ring`]) back
-/// into its SLO config and ring — the offline-recompute path: feeding
-/// the result to [`compute_view`] reproduces the live `fleet` verb's
-/// numbers byte-for-byte.
-pub fn parse_ring(text: &str) -> Result<(SloConfig, SampleRing), String> {
-    let v = json::parse(text).map_err(|e| format!("ring export: {e}"))?;
-    let slo_v = v.get("slo").ok_or("ring export: missing slo")?;
-    let num = |obj: &Value, key: &str| -> Result<f64, String> {
-        obj.get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("ring export: missing {key}"))
-    };
-    let mut windows = Vec::new();
-    for w in slo_v
-        .get("windows")
-        .and_then(Value::as_array)
-        .ok_or("ring export: missing slo.windows")?
-    {
-        windows.push(BurnWindow {
-            name: w
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("ring export: window name")?
-                .to_string(),
-            span_ms: num(w, "span_ms")? as u64,
-        });
-    }
-    let slo = SloConfig {
-        availability_target: num(slo_v, "availability_target")?,
-        latency_slo_ms: num(slo_v, "latency_slo_ms")? as u64,
-        windows,
-    };
-    let capacity = num(&v, "capacity")? as usize;
-    let mut samples = Vec::new();
-    for s in v
-        .get("samples")
-        .and_then(Value::as_array)
-        .ok_or("ring export: missing samples")?
-    {
-        let mut shards = Vec::new();
-        for sh in s
-            .get("shards")
-            .and_then(Value::as_array)
-            .ok_or("ring export: sample shards")?
-        {
-            shards.push(ShardSample {
-                shard: num(sh, "shard")? as u32,
-                generation: num(sh, "generation")? as u64,
-                health: sh
-                    .get("health")
-                    .and_then(Value::as_str)
-                    .ok_or("ring export: shard health")?
-                    .to_string(),
-                ok: matches!(sh.get("ok"), Some(Value::Bool(true))),
-                snapshot: sh
-                    .get("snapshot")
-                    .and_then(snapshot_from_wire)
-                    .ok_or("ring export: shard snapshot")?,
-            });
-        }
-        samples.push(FleetSample {
-            index: num(s, "index")? as u64,
-            ts_ms: num(s, "ts_ms")? as u64,
-            epoch: num(s, "epoch")? as u64,
-            shards,
-            control: s
-                .get("control")
-                .and_then(snapshot_from_wire)
-                .ok_or("ring export: control snapshot")?,
-        });
-    }
-    Ok((slo, SampleRing::from_samples(capacity, samples)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use silentcert_obs::metrics::Registry;
-
-    fn busy_snapshot(ok: u64, lat: &[u64]) -> Snapshot {
-        let r = Registry::new();
-        r.counter("silentcert_serve_served_ok_total").add(ok);
-        let h = r.histogram("silentcert_serve_request_latency_ms");
-        for &v in lat {
-            h.record(v);
-        }
-        r.gauge("silentcert_serve_queue_depth").set(3);
-        r.snapshot()
-    }
-
-    #[test]
-    fn wire_snapshot_round_trips_exactly() {
-        let snap = busy_snapshot(42, &[1, 5, 900, 70_000]);
-        let wire = snap.render_wire_json();
-        let parsed = snapshot_from_wire(&json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    /// The acceptance contract: exported numbers are reproduced exactly
-    /// by an offline recomputation from the exported ring. Build a ring
-    /// on a virtual timeline, render the live view, export the ring,
-    /// parse it back, recompute — byte-identical exposition and JSON.
-    #[test]
-    fn exported_ring_recomputes_to_identical_views() {
-        let handle = AggregatorHandle::new(SloConfig::default(), 32);
-        {
-            let mut ring = handle.state.ring.lock().unwrap();
-            let mut push = |ts: u64, generation: u64, ok: u64, lat: &[u64]| {
-                ring.push(
-                    ts,
-                    1,
-                    vec![ShardSample {
-                        shard: 0,
-                        generation,
-                        health: "up".to_string(),
-                        ok: true,
-                        snapshot: busy_snapshot(ok, lat),
-                    }],
-                    busy_snapshot(1, &[]),
-                );
-            };
-            push(1_000, 1, 10, &[5, 5]);
-            push(1_500, 1, 30, &[5, 5, 400]);
-            push(2_000, 2, 12, &[9]); // SIGKILL + restart: counters reset
-            push(2_500, 2, 50, &[9, 9, 9, 1_200]);
-        }
-        let live = handle.view();
-        let export = handle.export_json();
-        let (slo, ring) = parse_ring(&export).unwrap();
-        let offline = compute_view(&ring, &slo);
-        assert_eq!(live.render_prometheus(), offline.render_prometheus());
-        assert_eq!(live.render_json(), offline.render_json());
-        // And the numbers are meaningful: both generations appear, the
-        // rate is non-zero, the burn rate finite.
-        let prom = live.render_prometheus();
-        assert!(prom.contains("silentcert_fleet_scrape_rounds{generation=\"1\",shard=\"0\"} 2"));
-        assert!(prom.contains("silentcert_fleet_scrape_rounds{generation=\"2\",shard=\"0\"} 2"));
-        let ring_window = live.windows.iter().find(|w| w.name == "ring").unwrap();
-        assert!(ring_window.req_rate > 0.0);
-        assert!(ring_window.burn_rate.is_finite());
-    }
-
-    #[test]
-    fn malformed_rings_are_rejected_with_reasons() {
-        assert!(parse_ring("not json").is_err());
-        assert!(parse_ring("{}").is_err());
-        assert!(parse_ring(r#"{"slo":{"availability_target":0.9}}"#).is_err());
     }
 }

@@ -27,7 +27,7 @@ fn scrape_one(addr: &str, timeout: Duration) -> Option<Vec<(String, f64)>> {
         .ok()?;
     let mut line = String::new();
     BufReader::new(stream).read_line(&mut line).ok()?;
-    let v = silentcert_serve::json::parse(&line).ok()?;
+    let v = silentcert_obs::json::parse(&line).ok()?;
     if v.get("code").and_then(|c| c.as_f64()) != Some(200.0) {
         return None;
     }
@@ -81,7 +81,7 @@ pub fn health_fields(directory: &Directory) -> Vec<(&'static str, String)> {
             view.health.as_str(),
             view.generation,
             match &view.addr {
-                Some(a) => format!(",\"addr\":\"{}\"", silentcert_serve::json::escape(a)),
+                Some(a) => format!(",\"addr\":\"{}\"", silentcert_obs::json::escape(a)),
                 None => String::new(),
             }
         ));
@@ -106,7 +106,7 @@ mod tests {
         d.register(1);
         let fields = health_fields(&d);
         let line = silentcert_serve::protocol::response_line("h", 200, &fields);
-        let v = silentcert_serve::json::parse(&line).unwrap();
+        let v = silentcert_obs::json::parse(&line).unwrap();
         assert_eq!(v.get("shards_up").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("shards_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(v.get("shards").unwrap().as_array().unwrap().len(), 2);

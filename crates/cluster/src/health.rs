@@ -59,7 +59,7 @@ fn probe_once(addr: &str, timeout: Duration) -> bool {
     if BufReader::new(stream).read_line(&mut line).is_err() {
         return false;
     }
-    silentcert_serve::json::parse(&line)
+    silentcert_obs::json::parse(&line)
         .ok()
         .and_then(|v| v.get("code").and_then(|c| c.as_f64()))
         == Some(200.0)

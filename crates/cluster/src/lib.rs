@@ -53,9 +53,7 @@ pub mod router;
 pub mod shard;
 pub mod supervisor;
 
-pub use aggregator::{
-    parse_ring, snapshot_from_wire, Aggregator, AggregatorConfig, AggregatorHandle,
-};
+pub use aggregator::{Aggregator, AggregatorConfig, AggregatorHandle};
 pub use directory::{Directory, ShardHealth};
 pub use health::{start_prober, ProberConfig};
 pub use router::{AdminFn, Router, RouterConfig, RouterSummary};

@@ -39,7 +39,7 @@ fn send_once(addr: &str, line: &str) -> String {
 }
 
 fn code_of(resp: &str) -> u32 {
-    silentcert_serve::json::parse(resp)
+    silentcert_obs::json::parse(resp)
         .ok()
         .and_then(|v| v.get("code").and_then(|c| c.as_f64()))
         .map(|f| f as u32)
@@ -95,7 +95,7 @@ fn killing_a_shard_loses_no_responses() {
     let resp = send_once(&raddr, &victim_line);
     assert_eq!(code_of(&resp), 200, "failover must keep the answer: {resp}");
     let stats = send_once(&raddr, r#"{"op":"stats","id":"s"}"#);
-    let v = silentcert_serve::json::parse(&stats).unwrap();
+    let v = silentcert_obs::json::parse(&stats).unwrap();
     let retries = v.get("retries").and_then(|x| x.as_f64()).unwrap_or(0.0);
     let hedges = v.get("hedges").and_then(|x| x.as_f64()).unwrap_or(0.0);
     assert!(

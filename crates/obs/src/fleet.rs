@@ -18,9 +18,10 @@
 //!   p50/p95/p99 by bucket-wise merge of every shard's histogram
 //!   *increase over the window*, and multi-window burn rates against an
 //!   [`SloConfig`].
-//! * [`export_ring`] / ring JSON — a lossless dump of the ring (wire
-//!   snapshots with raw buckets) so a chaos run's post-mortem can
-//!   recompute every exported number offline, exactly.
+//! * [`export_ring`] / [`parse_ring`] — a lossless JSON dump of the
+//!   ring (wire snapshots with raw buckets) and its reader, so a chaos
+//!   run's post-mortem can recompute every exported number offline,
+//!   exactly.
 //!
 //! Everything here is deterministic: no wall clock, no I/O, no
 //! iteration-order dependence. Under a `VirtualClock` the same ring
@@ -45,7 +46,8 @@
 //! exceed a threshold. `budget_remaining = 1 − burn(ring)` — the
 //! fraction of budget left over the full retained history.
 
-use crate::metrics::{help_text, HistogramSnapshot, SeriesValue, Snapshot};
+use crate::json::{self, Value};
+use crate::metrics::{help_text, snapshot_from_wire, HistogramSnapshot, SeriesValue, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Counter families that spend error budget (availability side).
@@ -660,7 +662,7 @@ impl FleetView {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"span_ms\":{},\"samples\":{},\"elapsed_ms\":{},\"good\":{},\"bad\":{},\"slow\":{},\"req_rate\":{},\"error_ratio\":{},\"burn_rate\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                w.name,
+                json::escape(&w.name),
                 w.span_ms,
                 w.samples,
                 w.elapsed_ms,
@@ -684,7 +686,7 @@ impl FleetView {
                 "{{\"shard\":{},\"generation\":{},\"health\":\"{}\",\"ok\":{},\"req_rate\":{},\"p99_ms\":{},\"shed_rate\":{},\"queue_depth\":{},\"breaker_state\":{},\"journal_entries\":{}}}",
                 s.shard,
                 s.generation,
-                s.health,
+                json::escape(&s.health),
                 s.ok,
                 fmt_f64(s.req_rate),
                 fmt_f64(s.p99_ms),
@@ -710,8 +712,8 @@ impl FleetView {
 
 /// Lossless JSON dump of the ring plus its SLO config: the post-mortem
 /// artifact written to the `--metrics` sink's sibling on exit. Parsing
-/// it back (see `silentcert-cluster`'s aggregator) and running
-/// [`compute_view`] reproduces every exported number exactly.
+/// it back with [`parse_ring`] and running [`compute_view`] reproduces
+/// every exported number exactly.
 pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
     let mut out = String::from("{\"slo\":{");
     out.push_str(&format!(
@@ -725,7 +727,8 @@ pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"span_ms\":{}}}",
-            w.name, w.span_ms
+            json::escape(&w.name),
+            w.span_ms
         ));
     }
     out.push_str(&format!(
@@ -751,7 +754,7 @@ pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
                 "{{\"shard\":{},\"generation\":{},\"health\":\"{}\",\"ok\":{},\"snapshot\":{}}}",
                 sh.shard,
                 sh.generation,
-                sh.health,
+                json::escape(&sh.health),
                 sh.ok,
                 sh.snapshot.render_wire_json()
             ));
@@ -760,6 +763,80 @@ pub fn export_ring(ring: &SampleRing, slo: &SloConfig) -> String {
     }
     out.push_str("]}");
     out
+}
+
+/// Parse a ring export ([`export_ring`]) back into its SLO config and
+/// ring — the offline-recompute path: feeding the result to
+/// [`compute_view`] reproduces the live `fleet` verb's numbers
+/// byte-for-byte.
+pub fn parse_ring(text: &str) -> Result<(SloConfig, SampleRing), String> {
+    let v = json::parse(text).map_err(|e| format!("ring export: {e}"))?;
+    let slo_v = v.get("slo").ok_or("ring export: missing slo")?;
+    let num = |obj: &Value, key: &str| -> Result<f64, String> {
+        obj.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("ring export: missing {key}"))
+    };
+    let mut windows = Vec::new();
+    for w in slo_v
+        .get("windows")
+        .and_then(Value::as_array)
+        .ok_or("ring export: missing slo.windows")?
+    {
+        windows.push(BurnWindow {
+            name: w
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or("ring export: window name")?
+                .to_string(),
+            span_ms: num(w, "span_ms")? as u64,
+        });
+    }
+    let slo = SloConfig {
+        availability_target: num(slo_v, "availability_target")?,
+        latency_slo_ms: num(slo_v, "latency_slo_ms")? as u64,
+        windows,
+    };
+    let capacity = num(&v, "capacity")? as usize;
+    let mut samples = Vec::new();
+    for s in v
+        .get("samples")
+        .and_then(Value::as_array)
+        .ok_or("ring export: missing samples")?
+    {
+        let mut shards = Vec::new();
+        for sh in s
+            .get("shards")
+            .and_then(Value::as_array)
+            .ok_or("ring export: sample shards")?
+        {
+            shards.push(ShardSample {
+                shard: num(sh, "shard")? as u32,
+                generation: num(sh, "generation")? as u64,
+                health: sh
+                    .get("health")
+                    .and_then(Value::as_str)
+                    .ok_or("ring export: shard health")?
+                    .to_string(),
+                ok: matches!(sh.get("ok"), Some(Value::Bool(true))),
+                snapshot: sh
+                    .get("snapshot")
+                    .and_then(snapshot_from_wire)
+                    .ok_or("ring export: shard snapshot")?,
+            });
+        }
+        samples.push(FleetSample {
+            index: num(s, "index")? as u64,
+            ts_ms: num(s, "ts_ms")? as u64,
+            epoch: num(s, "epoch")? as u64,
+            shards,
+            control: s
+                .get("control")
+                .and_then(snapshot_from_wire)
+                .ok_or("ring export: control snapshot")?,
+        });
+    }
+    Ok((slo, SampleRing::from_samples(capacity, samples)))
 }
 
 #[cfg(test)]
@@ -947,5 +1024,54 @@ mod tests {
         assert_eq!(a, export_ring(&ring, &slo));
         assert!(a.contains("\"availability_target\":0.999"));
         assert!(a.contains("\"h\":{\"count\":2,"));
+    }
+
+    /// The acceptance contract: exported numbers are reproduced exactly
+    /// by an offline recomputation from the exported ring. Build a ring
+    /// on a virtual timeline, render the live view, export the ring,
+    /// parse it back, recompute — byte-identical exposition and JSON.
+    #[test]
+    fn exported_ring_recomputes_to_identical_views() {
+        let slo = SloConfig::default();
+        let mut ring = SampleRing::new(32);
+        let mut push = |ts: u64, generation: u64, ok: u64, lat: &[u64]| {
+            ring.push(
+                ts,
+                1,
+                vec![ShardSample {
+                    shard: 0,
+                    generation,
+                    health: "up".to_string(),
+                    ok: true,
+                    snapshot: shard_snap(ok, 1, lat),
+                }],
+                shard_snap(1, 0, &[]),
+            );
+        };
+        push(1_000, 1, 10, &[5, 5]);
+        push(1_500, 1, 30, &[5, 5, 400]);
+        push(2_000, 2, 12, &[9]); // SIGKILL + restart: counters reset
+        push(2_500, 2, 50, &[9, 9, 9, 1_200]);
+        let live = compute_view(&ring, &slo);
+        let (slo_back, ring_back) = parse_ring(&export_ring(&ring, &slo)).unwrap();
+        assert_eq!((&slo_back, &ring_back), (&slo, &ring));
+        let offline = compute_view(&ring_back, &slo_back);
+        assert_eq!(live.render_prometheus(), offline.render_prometheus());
+        assert_eq!(live.render_json(), offline.render_json());
+        // And the numbers are meaningful: both generations appear, the
+        // rate is non-zero, the burn rate finite.
+        let prom = live.render_prometheus();
+        assert!(prom.contains("silentcert_fleet_scrape_rounds{generation=\"1\",shard=\"0\"} 2"));
+        assert!(prom.contains("silentcert_fleet_scrape_rounds{generation=\"2\",shard=\"0\"} 2"));
+        let ring_window = live.windows.iter().find(|w| w.name == "ring").unwrap();
+        assert!(ring_window.req_rate > 0.0);
+        assert!(ring_window.burn_rate.is_finite());
+    }
+
+    #[test]
+    fn malformed_rings_are_rejected_with_reasons() {
+        assert!(parse_ring("not json").is_err());
+        assert!(parse_ring("{}").is_err());
+        assert!(parse_ring(r#"{"slo":{"availability_target":0.9}}"#).is_err());
     }
 }

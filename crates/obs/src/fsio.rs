@@ -9,7 +9,8 @@
 //! parent directory as well, or the `sync_all` on the file contents
 //! promises durability the filesystem never gave.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// fsync the directory containing `path`, making a just-completed
@@ -34,20 +35,34 @@ pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Write `bytes` to `path` atomically and durably: temp file in the
-/// same directory, contents fsync'd, `rename` over the target, parent
-/// directory fsync'd. A reader never observes a partial file, and a
-/// crash after return cannot lose the write. The temp name embeds the
-/// pid so concurrent writers from different processes don't collide.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
+/// Write `path` atomically and durably, streaming the contents through
+/// `write_fn`: the bytes go to a `<name>.<pid>.tmp` sibling through a
+/// buffered writer, are flushed and fsync'd, the temp file is renamed
+/// over `path`, and the parent directory is fsync'd. A reader never
+/// observes a partial file and a crash after return cannot lose the
+/// write. On any error the temp file is removed, so a failed write
+/// leaves the old file or nothing. The pid keeps concurrent writers in
+/// different processes off each other's temp file.
+pub fn atomic_write(
+    path: &Path,
+    write_fn: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no file name"))?;
+    let tmp = path.with_file_name(format!(
+        "{}.{}.tmp",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    let result = (|| {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write_fn(&mut out)?;
+        out.flush()?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if let Err(e) = result {
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
     }
@@ -59,21 +74,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn atomic_write_replaces_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("silentcert-fsio-aw-{}", std::process::id()));
+    fn atomic_write_replaces_only_on_success() {
+        let dir = std::env::temp_dir().join(format!("silentcert-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ring.json");
-        atomic_write(&file, b"one").unwrap();
-        atomic_write(&file, b"two").unwrap();
-        assert_eq!(std::fs::read(&file).unwrap(), b"two");
-        // No temp litter left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let path = dir.join("table.csv");
+        atomic_write(&path, |out| out.write_all(b"old")).unwrap();
+        atomic_write(&path, |out| out.write_all(b"# header\n1,2,3\n")).unwrap();
+
+        // Failing sink: half the payload is written, then the sink
+        // errors. The previous contents must survive untouched.
+        let err = atomic_write(&path, |out| {
+            out.write_all(b"# header\ntruncated")?;
+            Err(io::Error::other("sink failed"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "sink failed");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"# header\n1,2,3\n",
+            "old file clobbered"
+        );
+
+        // Failing sink with no previous file: nothing is created at all.
+        let fresh = dir.join("fresh.csv");
+        atomic_write(&fresh, |_| Err(io::Error::other("boom"))).unwrap_err();
+        assert!(!fresh.exists());
+        let missing = dir.join("missing").join("x");
+        assert!(atomic_write(&missing, |out| out.write_all(b"x")).is_err());
+
+        // No temp file survives any of the above.
+        let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name() != "ring.json")
+            .map(|e| e.unwrap().file_name())
             .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        assert!(atomic_write(&dir.join("missing").join("x"), b"x").is_err());
+        assert_eq!(names, ["table.csv"], "temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

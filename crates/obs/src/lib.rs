@@ -5,6 +5,14 @@
 //! * [`clock`] — the monotonic [`Clock`](clock::Clock) abstraction
 //!   (system + virtual), moved here from `silentcert-serve` so both the
 //!   tracer and the serving stack can share it without a cycle.
+//! * [`json`] — the workspace's one JSON codec: the strict reader
+//!   every request frame goes through, the one string escaper, and the
+//!   compact and field-ordered pretty writers. Each JSON format obs
+//!   writes is read back here too: [`metrics::snapshot_from_wire`]
+//!   beside [`Snapshot::render_wire_json`], [`fleet::parse_ring`]
+//!   beside [`fleet::export_ring`].
+//! * [`fsio`] — the one atomic, durable file write (temp file, fsync,
+//!   rename, parent-directory fsync), streaming through a closure.
 //! * [`metrics`] — a lock-sharded registry of counters, gauges, and
 //!   log-linear histograms with mergeable snapshots, quantile
 //!   estimation, and Prometheus / JSON rendering. The record path is
@@ -37,13 +45,14 @@
 pub mod clock;
 pub mod fleet;
 pub mod fsio;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use fleet::{
-    compute_view, export_ring, BurnWindow, FleetSample, FleetView, SampleRing, ShardRow,
-    ShardSample, SloConfig, WindowView,
+    compute_view, export_ring, parse_ring, BurnWindow, FleetSample, FleetView, SampleRing,
+    ShardRow, ShardSample, SloConfig, WindowView,
 };
 pub use fsio::{atomic_write, fsync_parent_dir};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, SeriesValue, Snapshot};

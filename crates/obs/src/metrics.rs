@@ -24,6 +24,7 @@
 //! conventions (`_total` for counters, unit suffixes like `_ms` / `_us`
 //! on histograms); see DESIGN.md §11.
 
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -591,7 +592,7 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":", escape_json(key)));
+            out.push_str(&format!("\"{}\":", json::escape(key)));
             match value {
                 SeriesValue::Counter(v) => out.push_str(&format!("{{\"c\":{v}}}")),
                 SeriesValue::Gauge(v) => out.push_str(&format!("{{\"g\":{v}}}")),
@@ -630,7 +631,7 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\"{}\":", escape_json(key)));
+            out.push_str(&format!("\"{}\":", json::escape(key)));
             match value {
                 SeriesValue::Counter(v) => out.push_str(&v.to_string()),
                 SeriesValue::Gauge(v) => out.push_str(&v.to_string()),
@@ -650,6 +651,54 @@ impl Snapshot {
         out.push('}');
         out
     }
+}
+
+/// Parse one shard's `metrics`/`format:"wire"` response line
+/// (`{"code":200,"metrics":<wire snapshot>,...}`) into a snapshot;
+/// `None` on anything but a well-formed 200.
+pub fn parse_wire_response(line: &str) -> Option<Snapshot> {
+    let v = json::parse(line).ok()?;
+    if v.get("code").and_then(Value::as_f64) != Some(200.0) {
+        return None;
+    }
+    snapshot_from_wire(v.get("metrics")?)
+}
+
+/// Rebuild a [`Snapshot`] from its wire JSON form
+/// ([`Snapshot::render_wire_json`]): `{"c":n}` counter, `{"g":n}`
+/// gauge, `{"h":{"count","sum","b":[[bucket,count],...]}}` histogram.
+pub fn snapshot_from_wire(v: &Value) -> Option<Snapshot> {
+    let map = v.as_object()?;
+    let mut snap = Snapshot::default();
+    for (key, val) in map {
+        let series = if let Some(c) = val.get("c") {
+            SeriesValue::Counter(c.as_f64()? as u64)
+        } else if let Some(g) = val.get("g") {
+            SeriesValue::Gauge(g.as_f64()? as i64)
+        } else if let Some(h) = val.get("h") {
+            let count = h.get("count").and_then(Value::as_f64)? as u64;
+            let sum = h.get("sum").and_then(Value::as_f64)? as u64;
+            let mut buckets = vec![0u64; NUM_BUCKETS];
+            for pair in h.get("b").and_then(Value::as_array)? {
+                let p = pair.as_array()?;
+                let idx = p.first().and_then(Value::as_f64)? as usize;
+                let n = p.get(1).and_then(Value::as_f64)? as u64;
+                if idx >= NUM_BUCKETS {
+                    return None;
+                }
+                buckets[idx] = n;
+            }
+            SeriesValue::Histogram(HistogramSnapshot {
+                buckets,
+                count,
+                sum,
+            })
+        } else {
+            return None;
+        };
+        snap.series.insert(key.clone(), series);
+    }
+    Some(snap)
 }
 
 /// Docstring for a metric family's `# HELP` line. Exposition format
@@ -711,21 +760,6 @@ pub fn help_text(base: &str) -> String {
     } else {
         format!("Current {words} reading.")
     }
-}
-
-/// Minimal JSON string escaping for series keys.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -985,5 +1019,25 @@ mod tests {
         assert!(s1.starts_with('{') && s1.ends_with('}'));
         assert!(s1.contains("\"silentcert_test_z_total\":9"));
         assert!(s1.contains("\"count\":1"));
+    }
+
+    #[test]
+    fn wire_snapshot_round_trips_exactly() {
+        let r = Registry::new();
+        r.counter("silentcert_serve_served_ok_total").add(42);
+        r.counter("silentcert_serve_shed_total{reason=\"queue_full\"}")
+            .add(3);
+        let h = r.histogram("silentcert_serve_request_latency_ms");
+        for v in [1, 5, 900, 70_000] {
+            h.record(v);
+        }
+        r.gauge("silentcert_serve_queue_depth").set(3);
+        let snap = r.snapshot();
+        let wire = snap.render_wire_json();
+        let parsed = snapshot_from_wire(&json::parse(&wire).unwrap()).unwrap();
+        assert_eq!(parsed, snap);
+        let line = format!("{{\"id\":\"m\",\"code\":200,\"metrics\":{wire}}}");
+        assert_eq!(parse_wire_response(&line), Some(snap));
+        assert_eq!(parse_wire_response(&line.replace(":200,", ":503,")), None);
     }
 }

@@ -24,9 +24,9 @@
 //! installed, so each test run starts numbering from zero.
 
 use crate::clock::{Clock, SystemClock};
+use crate::json;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -97,13 +97,13 @@ impl Record {
                 seq,
             } => {
                 let parent = match parent {
-                    Some(p) => format!("\"{}\"", esc(p)),
+                    Some(p) => format!("\"{}\"", json::escape(p)),
                     None => "null".to_string(),
                 };
                 format!(
                     "{{\"kind\":\"span\",\"name\":\"{}\",\"parent\":{parent},\"ts_ms\":{ts_ms},\"dur_ms\":{dur_ms},\"thread\":\"{}\",\"seq\":{seq}}}",
-                    esc(name),
-                    esc(thread),
+                    json::escape(name),
+                    json::escape(thread),
                 )
             }
             Record::Log {
@@ -115,27 +115,11 @@ impl Record {
             } => format!(
                 "{{\"kind\":\"log\",\"level\":\"{}\",\"msg\":\"{}\",\"ts_ms\":{ts_ms},\"thread\":\"{}\",\"seq\":{seq}}}",
                 level.as_str(),
-                esc(msg),
-                esc(thread),
+                json::escape(msg),
+                json::escape(thread),
             ),
         }
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 thread_local! {
@@ -347,26 +331,17 @@ impl Tracer {
     }
 
     /// Drain the buffer and atomically write it as JSON lines: records
-    /// are sorted, serialized one per line, written to `{path}.tmp`,
-    /// fsynced, and renamed over `path` — a crash never leaves a
-    /// half-written trace.
+    /// are sorted and serialized one per line through
+    /// [`atomic_write`](crate::fsio::atomic_write) — a crash never
+    /// leaves a half-written trace.
     pub fn flush_to(&self, path: &Path) -> std::io::Result<()> {
         let records = self.drain();
-        let mut body = String::new();
-        for r in &records {
-            body.push_str(&r.to_json());
-            body.push('\n');
-        }
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // The rename is visible but not durable until the parent
-        // directory entry itself is synced.
-        crate::fsio::fsync_parent_dir(path)
+        crate::fsio::atomic_write(path, |out| {
+            for r in &records {
+                writeln!(out, "{}", r.to_json())?;
+            }
+            Ok(())
+        })
     }
 }
 

@@ -23,16 +23,16 @@
 //! and replaying the loadgen corpus at full speed with no fault
 //! injection.
 
-use serde::Serialize;
 use silentcert_crypto::entropy::XorShift64;
 use silentcert_crypto::{perf, BigUint, RsaKeyPair};
+use silentcert_obs::json;
 use silentcert_obs::{info, warn};
 use silentcert_sim::{ScaleConfig, ScanOptions, ScanOutcome};
 use std::path::Path;
 use std::time::Instant;
 
 /// One before/after measurement.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Measurement {
     /// What the baseline path is.
     pub baseline: &'static str,
@@ -43,7 +43,7 @@ pub struct Measurement {
 }
 
 /// One point of the serve connection sweep.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ServePoint {
     pub connections: usize,
     /// Open-loop in-flight requests per connection.
@@ -63,7 +63,7 @@ pub struct ServePoint {
 /// Daemon throughput swept across connection counts on the epoll
 /// readiness core (DESIGN.md §14), compared against the committed
 /// pre-event-loop number.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ServeMeasurement {
     pub workers: usize,
     /// The committed blocking-core qps this PR's gate is measured
@@ -89,7 +89,7 @@ pub struct ServeMeasurement {
 /// enabled vs disabled. The ratio is the best of several attempts so a
 /// single scheduler hiccup cannot fail the guard; CI checks
 /// `within_bound`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct ObsOverheadMeasurement {
     pub plain_ns_per_op: f64,
     pub instrumented_ns_per_op: f64,
@@ -101,7 +101,7 @@ pub struct ObsOverheadMeasurement {
 }
 
 /// The whole report serialized to `BENCH.json`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct BenchReport {
     pub available_parallelism: usize,
     /// Worker count used by the "after" pipeline run.
@@ -115,6 +115,52 @@ pub struct BenchReport {
     pub serve: ServeMeasurement,
     pub obs_overhead: ObsOverheadMeasurement,
 }
+
+silentcert_obs::json_object!(Measurement {
+    baseline,
+    before_ns_per_op,
+    after_ns_per_op,
+    speedup
+});
+silentcert_obs::json_object!(ServePoint {
+    connections,
+    pipeline,
+    requests,
+    qps,
+    p50_us,
+    p99_us,
+    max_us,
+    shed_rate,
+    transport_errors
+});
+silentcert_obs::json_object!(ServeMeasurement {
+    workers,
+    baseline_qps,
+    sweep,
+    best_qps,
+    speedup_vs_baseline,
+    speedup_floor,
+    above_floor,
+    peak_rss_bytes
+});
+silentcert_obs::json_object!(ObsOverheadMeasurement {
+    plain_ns_per_op,
+    instrumented_ns_per_op,
+    overhead_ratio,
+    bound,
+    within_bound
+});
+silentcert_obs::json_object!(BenchReport {
+    available_parallelism,
+    threads,
+    scale,
+    quick,
+    modpow,
+    sign,
+    pipeline,
+    serve,
+    obs_overhead
+});
 
 /// Nanoseconds per call of `f`, after one warm-up call.
 fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
@@ -534,18 +580,99 @@ pub fn run(config: &ScaleConfig, scale: &str, quick: bool, out: &Path) {
         serve,
         obs_overhead,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
+    let body = json::to_string_pretty(&report);
     // Atomic + durable: a benchmark interrupted mid-write must leave the
     // previous BENCH.json (or none), never a truncated one.
-    let tmp = out.with_extension("json.tmp");
-    (|| -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, out)?;
-        silentcert_obs::fsync_parent_dir(out)
-    })()
-    .unwrap_or_else(|e| panic!("{}: {e}", out.display()));
+    silentcert_obs::atomic_write(out, |f| f.write_all(body.as_bytes()))
+        .unwrap_or_else(|e| panic!("{}: {e}", out.display()));
     info!("wrote {}", out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measurement(baseline: &'static str, before: f64) -> Measurement {
+        Measurement {
+            baseline,
+            before_ns_per_op: before,
+            after_ns_per_op: 2.5,
+            speedup: before / 2.5,
+        }
+    }
+
+    /// Pins the `BENCH.json` layout: nested objects indent, an empty
+    /// `sweep` renders `[]`, `u64::MAX` prints exactly, NaN and
+    /// infinity render `null`, strings are escaped.
+    #[test]
+    fn bench_report_layout_is_pinned() {
+        let report = BenchReport {
+            available_parallelism: 2,
+            threads: 2,
+            scale: "tiny \"q\"\t".to_string(),
+            quick: true,
+            modpow: measurement("square-and-multiply", 1234.5),
+            sign: measurement("plain", f64::NAN),
+            pipeline: measurement("baseline mode, 1 thread", 1e21),
+            serve: ServeMeasurement {
+                workers: 2,
+                baseline_qps: 12121.0,
+                sweep: vec![],
+                best_qps: 0.1,
+                speedup_vs_baseline: -0.0,
+                speedup_floor: 2.0,
+                above_floor: false,
+                peak_rss_bytes: u64::MAX,
+            },
+            obs_overhead: ObsOverheadMeasurement {
+                plain_ns_per_op: 1.0 / 3.0,
+                instrumented_ns_per_op: f64::INFINITY,
+                overhead_ratio: 1e-7,
+                bound: 1.03,
+                within_bound: true,
+            },
+        };
+        let expected = r#"{
+  "available_parallelism": 2,
+  "threads": 2,
+  "scale": "tiny \"q\"\t",
+  "quick": true,
+  "modpow": {
+    "baseline": "square-and-multiply",
+    "before_ns_per_op": 1234.5,
+    "after_ns_per_op": 2.5,
+    "speedup": 493.8
+  },
+  "sign": {
+    "baseline": "plain",
+    "before_ns_per_op": null,
+    "after_ns_per_op": 2.5,
+    "speedup": null
+  },
+  "pipeline": {
+    "baseline": "baseline mode, 1 thread",
+    "before_ns_per_op": 1000000000000000000000,
+    "after_ns_per_op": 2.5,
+    "speedup": 400000000000000000000
+  },
+  "serve": {
+    "workers": 2,
+    "baseline_qps": 12121,
+    "sweep": [],
+    "best_qps": 0.1,
+    "speedup_vs_baseline": -0,
+    "speedup_floor": 2,
+    "above_floor": false,
+    "peak_rss_bytes": 18446744073709551615
+  },
+  "obs_overhead": {
+    "plain_ns_per_op": 0.3333333333333333,
+    "instrumented_ns_per_op": null,
+    "overhead_ratio": 0.0000001,
+    "bound": 1.03,
+    "within_bound": true
+  }
+}"#;
+        assert_eq!(json::to_string_pretty(&report), expected);
+    }
 }

@@ -318,12 +318,12 @@ pub fn run_cluster(config: &ScaleConfig, scale: &str, opts: &ClusterCliOptions) 
     info!("router drained; draining the fleet ...");
     // Freeze and export the aggregator ring before the shards go down:
     // the post-mortem artifact that recomputes the live fleet numbers
-    // exactly (`repro top --replay`, cluster::aggregator::parse_ring).
+    // exactly (`repro top --replay`, obs::fleet::parse_ring).
     let fleet_handle = aggregator.handle();
     aggregator.stop();
     if let Some(ring_path) = crate::obs_setup::metrics_sibling("ring") {
         let export = fleet_handle.export_json();
-        match silentcert_obs::atomic_write(&ring_path, export.as_bytes()) {
+        match silentcert_obs::atomic_write(&ring_path, |out| out.write_all(export.as_bytes())) {
             Ok(()) => info!(
                 "fleet ring ({} rounds) exported to {}",
                 fleet_handle.rounds(),

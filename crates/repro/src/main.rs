@@ -903,10 +903,7 @@ fn run() {
     }
     if which == "summary" {
         let summary = summary::Summary::compute(&ctx, config.seed);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).expect("serialize summary")
-        );
+        println!("{}", silentcert_obs::json::to_string_pretty(&summary));
         return;
     }
     if which == "all" {

@@ -411,7 +411,7 @@ fn fetch_prometheus(addr: &str, op: &str) -> std::io::Result<String> {
     )?;
     let mut resp = String::new();
     BufReader::new(stream).read_line(&mut resp)?;
-    let value = silentcert_serve::json::parse(&resp)
+    let value = silentcert_obs::json::parse(&resp)
         .map_err(|e| bad(format!("malformed {op} response: {e}")))?;
     if value.get("code").and_then(|c| c.as_f64()) != Some(200.0) {
         return Err(bad(format!("unexpected response: {}", resp.trim())));
@@ -436,7 +436,7 @@ fn fetch_fleet_json(addr: &str) -> std::io::Result<String> {
     }
     // Print the embedded view object verbatim (it is already one-line
     // JSON); find it structurally rather than re-rendering.
-    let value = silentcert_serve::json::parse(&resp)
+    let value = silentcert_obs::json::parse(&resp)
         .map_err(|e| bad(format!("malformed fleet response: {e}")))?;
     value
         .get("fleet")

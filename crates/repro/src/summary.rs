@@ -1,11 +1,11 @@
-//! Machine-readable run summary (`repro summary`), serialized as JSON.
+//! Machine-readable run summary (`repro summary`), serialized as pretty
+//! JSON with its fields in declaration order.
 
 use crate::experiments::Context;
-use serde::Serialize;
 use silentcert_core::{compare, evaluate, tracking};
 
 /// Key metrics of a run, mirroring EXPERIMENTS.md's headline rows.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Summary {
     pub seed: u64,
     pub scans: usize,
@@ -31,6 +31,32 @@ pub struct Summary {
     pub bulk_transfer_events: usize,
     pub static_as_fraction_at_90: f64,
 }
+
+silentcert_obs::json_object!(Summary {
+    seed,
+    scans,
+    unique_certificates,
+    observations,
+    invalid_fraction,
+    self_signed_fraction,
+    untrusted_fraction,
+    per_scan_invalid_mean,
+    invalid_negative_validity_fraction,
+    invalid_median_validity_days,
+    invalid_median_lifetime_days,
+    invalid_single_scan_fraction,
+    invalid_key_shared_fraction,
+    largest_key_share,
+    dedup_excluded_fraction,
+    linked_certificates,
+    linked_groups,
+    linking_precision,
+    trackable_before,
+    trackable_after,
+    tracked_as_changers,
+    bulk_transfer_events,
+    static_as_fraction_at_90
+});
 
 impl Summary {
     /// Compute the summary from a prepared context.
@@ -87,5 +113,69 @@ impl Summary {
             bulk_transfer_events: m.transfers.len(),
             static_as_fraction_at_90: r.fraction_above(0.9),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use silentcert_obs::json::to_string_pretty;
+
+    /// Pins `repro summary`'s stdout layout: field order, two-space
+    /// indent, integers above 2^53 exact, NaN as `null`, `-0`, and
+    /// `f64` digits as Rust's `Display` prints them.
+    #[test]
+    fn summary_layout_is_pinned() {
+        let s = Summary {
+            seed: 9_007_199_254_740_993,
+            scans: 12,
+            unique_certificates: 2048,
+            observations: 40000,
+            invalid_fraction: 0.875,
+            self_signed_fraction: 0.1 + 0.2,
+            untrusted_fraction: 1.0,
+            per_scan_invalid_mean: 0.6543210987654321,
+            invalid_negative_validity_fraction: 0.0,
+            invalid_median_validity_days: 7300.0,
+            invalid_median_lifetime_days: f64::NAN,
+            invalid_single_scan_fraction: 1e-9,
+            invalid_key_shared_fraction: 0.47,
+            largest_key_share: 123456789.125,
+            dedup_excluded_fraction: -0.0,
+            linked_certificates: 0,
+            linked_groups: 1,
+            linking_precision: 0.99,
+            trackable_before: 3,
+            trackable_after: 4,
+            tracked_as_changers: 5,
+            bulk_transfer_events: 6,
+            static_as_fraction_at_90: 2.5e-300,
+        };
+        let expected = r#"{
+  "seed": 9007199254740993,
+  "scans": 12,
+  "unique_certificates": 2048,
+  "observations": 40000,
+  "invalid_fraction": 0.875,
+  "self_signed_fraction": 0.30000000000000004,
+  "untrusted_fraction": 1,
+  "per_scan_invalid_mean": 0.6543210987654321,
+  "invalid_negative_validity_fraction": 0,
+  "invalid_median_validity_days": 7300,
+  "invalid_median_lifetime_days": null,
+  "invalid_single_scan_fraction": 0.000000001,
+  "invalid_key_shared_fraction": 0.47,
+  "largest_key_share": 123456789.125,
+  "dedup_excluded_fraction": -0,
+  "linked_certificates": 0,
+  "linked_groups": 1,
+  "linking_precision": 0.99,
+  "trackable_before": 3,
+  "trackable_after": 4,
+  "tracked_as_changers": 5,
+  "bulk_transfer_events": 6,
+  "static_as_fraction_at_90": 0.0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000025
+}"#;
+        assert_eq!(to_string_pretty(&s), expected);
     }
 }

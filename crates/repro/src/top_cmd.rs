@@ -8,13 +8,13 @@
 //! rows. `--once` prints a single frame without cursor control (CI and
 //! piping); `--replay RING.json` renders the same console offline from
 //! a drain-time ring export
-//! ([`silentcert_cluster::aggregator::parse_ring`] +
+//! ([`silentcert_obs::fleet::parse_ring`] +
 //! [`silentcert_obs::fleet::compute_view`] — the exact recomputation
 //! path, so the replayed numbers are the numbers the live fleet
 //! served).
 
 use silentcert_obs::error;
-use silentcert_serve::json::{self, Value};
+use silentcert_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -101,7 +101,7 @@ fn fetch_fleet(addr: &str) -> std::io::Result<Value> {
 /// Offline frame from a drain-time ring export.
 fn replay_frame(path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (slo, ring) = silentcert_cluster::parse_ring(&text)?;
+    let (slo, ring) = silentcert_obs::fleet::parse_ring(&text)?;
     let view = silentcert_obs::fleet::compute_view(&ring, &slo);
     let parsed = json::parse(&view.render_json()).map_err(|e| format!("rendered view: {e}"))?;
     Ok(render(&parsed))

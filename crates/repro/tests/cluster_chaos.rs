@@ -4,7 +4,7 @@
 //! visible in the fleet metrics, and the journals replaying with zero
 //! mismatches — journaled-or-refused, never silently dropped.
 
-use silentcert_serve::json::{self, Value};
+use silentcert_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
 

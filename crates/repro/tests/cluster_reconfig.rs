@@ -7,7 +7,7 @@
 //! advanced once per cutover, and the books balanced
 //! (journaled-or-refused) across every topology epoch.
 
-use silentcert_serve::json::{self, Value};
+use silentcert_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
 

@@ -25,10 +25,11 @@
 //! end-to-end correctness check — a drain under chaos proves nothing was
 //! half-classified.
 
+use silentcert_obs::atomic_write;
 use silentcert_validate::Validator;
 use silentcert_x509::Certificate;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -135,35 +136,6 @@ impl JournalEntry {
             chain,
             result,
         })
-    }
-}
-
-/// Same atomic temp-file + rename discipline as `scan.ckpt` (see
-/// `silentcert_sim::export::atomic_write`; duplicated here so the serving
-/// crate stays free of the simulator dependency).
-fn atomic_write(path: &Path, content: &str) -> io::Result<()> {
-    let tmp = path.with_extension(match path.extension() {
-        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
-        None => "tmp".to_string(),
-    });
-    let result = (|| {
-        let mut out = BufWriter::new(fs::File::create(&tmp)?);
-        out.write_all(content.as_bytes())?;
-        out.flush()?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            fs::rename(&tmp, path)?;
-            // The rename is visible but not durable until the parent
-            // directory entry itself is synced.
-            silentcert_obs::fsync_parent_dir(path)
-        }
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
     }
 }
 
@@ -311,13 +283,13 @@ impl Journal {
             return Ok(());
         }
         if s.flushes == 0 {
-            let mut content = String::from(HEADER);
-            content.push('\n');
-            for line in &s.lines {
-                content.push_str(line);
-                content.push('\n');
-            }
-            atomic_write(&self.path, &content)?;
+            atomic_write(&self.path, |out| {
+                writeln!(out, "{HEADER}")?;
+                for line in &s.lines {
+                    writeln!(out, "{line}")?;
+                }
+                Ok(())
+            })?;
         } else {
             let mut tail = String::new();
             for line in &s.lines[s.flushed_lines..] {

@@ -13,6 +13,10 @@
 //! `metrics` verb (JSON snapshot or Prometheus text exposition) read
 //! the same cells. Request handling emits `serve.*` spans through the
 //! global tracer.
+//!
+//! Every frame is newline-delimited JSON, read and escaped by
+//! `silentcert_obs::json` (re-exported here as [`json`]), the one codec
+//! the router, the fleet pipeline and `repro` share.
 
 pub mod breaker;
 pub mod cache;
@@ -20,7 +24,9 @@ pub mod clock;
 pub mod event_loop;
 pub mod framing;
 pub mod journal;
-pub mod json;
+/// The wire codec lives in `silentcert-obs`; re-exported so
+/// `silentcert_serve::json::…` paths keep working.
+pub use silentcert_obs::json;
 pub mod loadgen;
 pub mod openloop;
 pub mod protocol;

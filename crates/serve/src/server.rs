@@ -639,11 +639,17 @@ pub fn start_with_clock(
     let core = EventCore::start(listener, service, core_config, loop_stats, clock)?;
     *shared.loop_notifier.lock().unwrap() = core.notifier();
 
+    // The initial pool is up before `start` returns, so the first
+    // `health` reply already counts every worker; the supervisor only
+    // restarts them.
+    let pool = (0..shared.config.workers.max(1))
+        .map(|n| Some(spawn_worker(&shared, n)))
+        .collect();
     let supervisor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("serve-supervisor".to_string())
-            .spawn(move || supervise(&shared))?
+            .spawn(move || supervise(&shared, pool))?
     };
     Ok(ServerHandle {
         shared,
@@ -888,14 +894,10 @@ fn spawn_worker(shared: &Arc<Shared>, n: usize) -> JoinHandle<WorkerExit> {
 /// dead workers, and conducts the drain. Once the drain settles it
 /// raises the loop-stop flag and wakes the event loop for its final
 /// flush.
-fn supervise(shared: &Arc<Shared>) -> DrainSummary {
+fn supervise(shared: &Arc<Shared>, mut pool: Vec<Option<JoinHandle<WorkerExit>>>) -> DrainSummary {
     let tick = Duration::from_millis(5);
     let mut rng = StdRng::seed_from_u64(shared.config.seed ^ 0x5e72_317e);
-    let workers = shared.config.workers.max(1);
-    let mut pool: Vec<Option<JoinHandle<WorkerExit>>> = (0..workers)
-        .map(|n| Some(spawn_worker(shared, n)))
-        .collect();
-    let mut consecutive_deaths = vec![0u32; workers];
+    let mut consecutive_deaths = vec![0u32; pool.len()];
     let mut last_flush = shared.now();
     let mut drain_started: Option<u64> = None;
     let mut force_shed = 0u64;

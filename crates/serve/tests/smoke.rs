@@ -193,7 +193,7 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
-        let v = silentcert_serve::json::parse(stats.trim()).expect("stats parses");
+        let v = silentcert_obs::json::parse(stats.trim()).expect("stats parses");
         let get = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(-1.0);
         assert!(get("worker_panics") >= 1.0, "panics recorded: {stats}");
         if get("worker_restarts") >= get("worker_panics") && get("workers_alive") >= 3.0 {
@@ -326,7 +326,7 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
 
     // The loadgen report folded the daemon's JSON snapshot in.
     let folded = report.daemon_metrics.as_deref().expect("daemon_metrics");
-    let snap = silentcert_serve::json::parse(folded).expect("snapshot parses");
+    let snap = silentcert_obs::json::parse(folded).expect("snapshot parses");
     for key in [
         "silentcert_serve_queue_depth",
         "silentcert_serve_queue_capacity",
@@ -352,7 +352,7 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     // Prometheus exposition over the same socket protocol.
     let resp = send_line(&addr, r#"{"op":"metrics","id":"m","format":"prometheus"}"#)
         .expect("metrics answered");
-    let v = silentcert_serve::json::parse(resp.trim()).expect("response parses");
+    let v = silentcert_obs::json::parse(resp.trim()).expect("response parses");
     let exposition = v
         .get("exposition")
         .and_then(|e| e.as_str())
@@ -372,7 +372,7 @@ fn chaos_loadgen_yields_parseable_prometheus_metrics() {
 
     // The legacy stats verb reads the same cells.
     let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
-    let sv = silentcert_serve::json::parse(stats.trim()).expect("stats parses");
+    let sv = silentcert_obs::json::parse(stats.trim()).expect("stats parses");
     assert_eq!(
         sv.get("served_ok").and_then(|x| x.as_f64()).unwrap(),
         samples["silentcert_serve_served_ok_total"],

@@ -19,43 +19,11 @@ use crate::config::ScaleConfig;
 use crate::world::{simulate_streaming, SimOutput};
 use silentcert_core::dataset::{Dataset, ScanCompleteness, ScanId};
 use silentcert_net::AsType;
+use silentcert_obs::atomic_write;
 use silentcert_x509::pem::pem_encode;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-/// Write `path` atomically: the payload goes to `<path>.tmp`, is flushed,
-/// and only then renamed over `path`. On any error the temp file is
-/// removed, so a failed write leaves either the old file or nothing —
-/// never a truncated new one.
-pub fn atomic_write(
-    path: &Path,
-    write_fn: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
-    let tmp = path.with_extension(match path.extension() {
-        Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
-        None => "tmp".to_string(),
-    });
-    let result = (|| {
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        write_fn(&mut out)?;
-        out.flush()?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            fs::rename(&tmp, path)?;
-            // The rename is visible but not durable until the parent
-            // directory entry itself is synced.
-            silentcert_obs::fsync_parent_dir(path)
-        }
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
 
 /// Write `scans.csv` rows (`day,operator,ip,sha256`) for every
 /// observation in `dataset`, skipping those for which `keep` returns
@@ -291,42 +259,6 @@ mod tests {
                 "leftover {name:?}"
             );
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_replaces_only_on_success() {
-        let dir = std::env::temp_dir().join(format!("silentcert-atomic-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("table.csv");
-
-        // Success path: file appears, temp file does not linger.
-        atomic_write(&path, |out| out.write_all(b"# header\n1,2,3\n")).unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"# header\n1,2,3\n");
-        assert!(!dir.join("table.csv.tmp").exists());
-
-        // Failing sink: half the payload is written, then the sink
-        // errors. The previous contents must survive untouched and the
-        // temp file must be cleaned up.
-        let err = atomic_write(&path, |out| {
-            out.write_all(b"# header\ntruncated")?;
-            Err(io::Error::other("sink failed"))
-        })
-        .unwrap_err();
-        assert_eq!(err.to_string(), "sink failed");
-        assert_eq!(
-            fs::read(&path).unwrap(),
-            b"# header\n1,2,3\n",
-            "old file clobbered"
-        );
-        assert!(!dir.join("table.csv.tmp").exists(), "temp file left behind");
-
-        // Failing sink with no previous file: nothing is created at all.
-        let fresh = dir.join("fresh.csv");
-        atomic_write(&fresh, |_| Err(io::Error::other("boom"))).unwrap_err();
-        assert!(!fresh.exists());
-        assert!(!dir.join("fresh.csv.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -33,7 +33,7 @@ pub mod vendors;
 pub mod world;
 
 pub use config::{ConfigError, ScaleConfig};
-pub use export::{atomic_write, export_corpus, export_corpus_faulted, export_tables};
+pub use export::{export_corpus, export_corpus_faulted, export_tables};
 pub use faults::{FaultLedger, FaultPlan, NetFaultPlan};
 pub use scanner::{run_scan, RetryPolicy, ScanError, ScanOptions, ScanOutcome, ScanRunReport};
 pub use truth::GroundTruth;
