@@ -23,6 +23,7 @@
 
 pub mod bigint;
 pub mod entropy;
+mod hex;
 pub mod hmac;
 pub mod keyfile;
 pub mod obs;
@@ -35,6 +36,7 @@ pub mod sig;
 
 pub use bigint::BigUint;
 pub use entropy::{EntropySource, XorShift64};
+pub use hex::{hex, hex_into};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use sha1::sha1;
 pub use sha256::sha256;

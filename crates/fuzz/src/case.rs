@@ -5,6 +5,7 @@
 //! by the SHA-256 of that serialization — content-addressed, so the same
 //! discrepancy found twice lands in the same file.
 
+use silentcert_crypto::hex;
 use silentcert_crypto::sha256::sha256;
 
 /// Magic first line of the on-disk case format.
@@ -80,15 +81,6 @@ impl FuzzCase {
             chain,
         })
     }
-}
-
-/// Lowercase hex encoding.
-pub fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }
 
 /// Strict lowercase/uppercase hex decoding; `None` on odd length or

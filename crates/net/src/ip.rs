@@ -41,6 +41,36 @@ impl Ipv4 {
         let o = self.octets();
         o[0] == 10 || (o[0] == 172 && (16..=31).contains(&o[1])) || (o[0] == 192 && o[1] == 168)
     }
+
+    /// Append the dotted-quad text (`a.b.c.d`, no leading zeros) to `out`.
+    pub fn write_dotted(self, out: &mut Vec<u8>) {
+        let mut buf = [0u8; 15];
+        let len = self.dotted(&mut buf);
+        out.extend_from_slice(&buf[..len]);
+    }
+
+    /// The one dotted-quad formatter: fill `buf` and return the length
+    /// used (7 to 15 bytes).
+    fn dotted(self, buf: &mut [u8; 15]) -> usize {
+        let mut len = 0;
+        for (i, o) in self.octets().into_iter().enumerate() {
+            if i > 0 {
+                buf[len] = b'.';
+                len += 1;
+            }
+            if o >= 100 {
+                buf[len] = b'0' + o / 100;
+                len += 1;
+            }
+            if o >= 10 {
+                buf[len] = b'0' + o / 10 % 10;
+                len += 1;
+            }
+            buf[len] = b'0' + o % 10;
+            len += 1;
+        }
+        len
+    }
 }
 
 /// Errors parsing an address from text.
@@ -81,8 +111,9 @@ impl FromStr for Ipv4 {
 
 impl fmt::Display for Ipv4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = self.octets();
-        write!(f, "{}.{}.{}.{}", o[0], o[1], o[2], o[3])
+        let mut buf = [0u8; 15];
+        let len = self.dotted(&mut buf);
+        f.write_str(std::str::from_utf8(&buf[..len]).expect("digits and dots are ASCII"))
     }
 }
 

@@ -13,6 +13,29 @@ proptest! {
     }
 
     #[test]
+    fn dotted_text_matches_reference_format(
+        raw in any::<u32>(),
+        picks in proptest::collection::vec(0usize..12, 4),
+    ) {
+        // Each octet is either arbitrary or, about half the time, one of
+        // the edges where the digit count changes.
+        const EDGES: [u8; 6] = [0, 9, 10, 99, 100, 255];
+        let mut octets = raw.to_be_bytes();
+        for (o, &pick) in octets.iter_mut().zip(&picks) {
+            if let Some(&edge) = EDGES.get(pick) {
+                *o = edge;
+            }
+        }
+        let ip = Ipv4(u32::from_be_bytes(octets));
+        let reference = format!("{}.{}.{}.{}", octets[0], octets[1], octets[2], octets[3]);
+        let mut out = b"row,".to_vec();
+        ip.write_dotted(&mut out);
+        prop_assert_eq!(&out[4..], reference.as_bytes());
+        prop_assert_eq!(ip.to_string(), reference.clone());
+        prop_assert_eq!(reference.parse::<Ipv4>().unwrap(), ip);
+    }
+
+    #[test]
     fn aggregates_are_prefixes_of_the_address(raw in any::<u32>()) {
         let ip = Ipv4(raw);
         prop_assert_eq!(ip.slash8(), raw >> 24);

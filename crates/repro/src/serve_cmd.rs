@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silentcert_crypto::entropy::{EntropySource, XorShift64};
+use silentcert_crypto::hex;
 use silentcert_obs::{error, info};
 use silentcert_serve::loadgen::{ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{loadgen, server, BreakerConfig, ServeConfig};
@@ -88,10 +89,6 @@ pub fn build_validator(config: &ScaleConfig) -> (CaEcosystem, Arc<Validator>) {
         v.add_intermediate(&brand.intermediate);
     }
     (eco, Arc::new(v))
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Render the simulated request corpus `loadgen` replays: a mix shaped

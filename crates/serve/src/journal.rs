@@ -25,6 +25,7 @@
 //! end-to-end correctness check — a drain under chaos proves nothing was
 //! half-classified.
 
+use silentcert_crypto::hex;
 use silentcert_obs::atomic_write;
 use silentcert_validate::Validator;
 use silentcert_x509::Certificate;
@@ -54,14 +55,6 @@ pub struct JournalEntry {
     /// The canonical `Display` form of the classification, or
     /// [`PANIC_RESULT`] for a journaled worker panic.
     pub result: String,
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }
 
 fn unhex(s: &str) -> Result<Vec<u8>, String> {

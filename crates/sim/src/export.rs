@@ -6,51 +6,74 @@
 //! analyses. Certificates are streamed to disk during the simulation, so
 //! the exporter never holds the DER corpus in memory.
 //!
-//! Every CSV is written via [`atomic_write`]: the bytes land in a `*.tmp`
-//! sibling that is renamed into place only after a successful flush. A
-//! crashed export can therefore leave a *missing* CSV (which strict
-//! ingest reports as such) but never a truncated-yet-well-formed one that
-//! ingest would mistake for a complete corpus. `certs.pem` keeps its
-//! streaming path — a torn PEM bundle is structurally detectable (an
-//! unterminated block), which is exactly what the fault model in
-//! [`crate::faults`] and lenient ingest exercise.
+//! Every CSV and `roots.pem` is written via [`atomic_write`]: the bytes
+//! land in a `*.tmp` sibling that is renamed into place only after a
+//! successful flush and fsync. A crashed export can therefore leave a
+//! *missing* file (which strict ingest reports as such) but never a
+//! truncated-yet-well-formed one that ingest would mistake for a complete
+//! corpus. `export_corpus` keeps a streaming path for `certs.pem` — a torn
+//! PEM bundle is structurally detectable (an unterminated block), which is
+//! exactly what the fault model in [`crate::faults`] and lenient ingest
+//! exercise.
 
 use crate::config::ScaleConfig;
 use crate::world::{simulate_streaming, SimOutput};
 use silentcert_core::dataset::{Dataset, ScanCompleteness, ScanId};
-use silentcert_net::AsType;
+use silentcert_core::Operator;
+use silentcert_net::{AsType, Ipv4};
 use silentcert_obs::atomic_write;
 use silentcert_x509::pem::pem_encode;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+/// The `operator` column of `scans.csv` and `completeness.csv`, also the
+/// `operator` label of the `silentcert_sim_*` metric series.
+pub(crate) fn operator_label(op: Operator) -> &'static str {
+    match op {
+        Operator::UMich => "umich",
+        Operator::Rapid7 => "rapid7",
+    }
+}
+
 /// Write `scans.csv` rows (`day,operator,ip,sha256`) for every
 /// observation in `dataset`, skipping those for which `keep` returns
 /// false. Observations are already sorted by `(scan, ip, cert)`.
+///
+/// Table-driven: each certificate's hex fingerprint is encoded once (one
+/// table entry per certificate, not per row) and each scan's
+/// `day,operator,` prefix is rendered once, so a row is a few byte copies
+/// into one reused line buffer.
 fn write_scans_csv(
     dataset: &Dataset,
     out: &mut dyn Write,
-    keep: &dyn Fn(ScanId, silentcert_net::Ipv4) -> bool,
+    keep: &dyn Fn(ScanId, Ipv4) -> bool,
 ) -> io::Result<()> {
-    writeln!(out, "# day,operator,ip,sha256")?;
+    const HEX_LEN: usize = 64;
+    let mut fp_hex = Vec::with_capacity(dataset.certs.len() * HEX_LEN);
+    for meta in &dataset.certs {
+        silentcert_crypto::hex_into(&mut fp_hex, &meta.fingerprint.0);
+    }
+    let prefixes: Vec<String> = dataset
+        .scans
+        .iter()
+        .map(|s| format!("{},{},", s.day, operator_label(s.operator)))
+        .collect();
+
+    out.write_all(b"# day,operator,ip,sha256\n")?;
+    let mut line = Vec::with_capacity(128);
     for obs in &dataset.observations {
         if !keep(obs.scan, obs.ip) {
             continue;
         }
-        let info = dataset.scan(obs.scan);
-        let operator = match info.operator {
-            silentcert_core::Operator::UMich => "umich",
-            silentcert_core::Operator::Rapid7 => "rapid7",
-        };
-        writeln!(
-            out,
-            "{},{},{},{}",
-            info.day,
-            operator,
-            obs.ip,
-            dataset.cert(obs.cert).fingerprint.to_hex()
-        )?;
+        let at = obs.cert.0 as usize * HEX_LEN;
+        line.clear();
+        line.extend_from_slice(prefixes[usize::from(obs.scan.0)].as_bytes());
+        obs.ip.write_dotted(&mut line);
+        line.push(b',');
+        line.extend_from_slice(&fp_hex[at..at + HEX_LEN]);
+        line.push(b'\n');
+        out.write_all(&line)?;
     }
     Ok(())
 }
@@ -91,14 +114,7 @@ fn write_asdb_csv(dataset: &Dataset, out: &mut dyn Write) -> io::Result<()> {
 /// corpus through this function reproduces the original files
 /// byte-for-byte (the round-trip the disk tests pin down).
 pub fn export_tables(dataset: &Dataset, dir: &Path) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    atomic_write(&dir.join("scans.csv"), |out| {
-        write_scans_csv(dataset, out, &|_, _| true)
-    })?;
-    atomic_write(&dir.join("routing.csv"), |out| {
-        write_routing_csv(dataset, out)
-    })?;
-    atomic_write(&dir.join("asdb.csv"), |out| write_asdb_csv(dataset, out))
+    export_tables_filtered(dataset, dir, &|_, _| true)
 }
 
 /// Like [`export_tables`], but `scans.csv` omits observations of dropped
@@ -107,7 +123,7 @@ pub fn export_tables(dataset: &Dataset, dir: &Path) -> io::Result<()> {
 pub(crate) fn export_tables_filtered(
     dataset: &Dataset,
     dir: &Path,
-    keep: &dyn Fn(ScanId, silentcert_net::Ipv4) -> bool,
+    keep: &dyn Fn(ScanId, Ipv4) -> bool,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     atomic_write(&dir.join("scans.csv"), |out| {
@@ -135,15 +151,11 @@ pub fn export_completeness(
         )?;
         for (scan, rec) in dataset.scan_ids().zip(records) {
             let info = dataset.scan(scan);
-            let operator = match info.operator {
-                silentcert_core::Operator::UMich => "umich",
-                silentcert_core::Operator::Rapid7 => "rapid7",
-            };
             writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
                 info.day,
-                operator,
+                operator_label(info.operator),
                 rec.probed,
                 rec.answered,
                 rec.retried,
@@ -156,14 +168,16 @@ pub fn export_completeness(
 }
 
 /// Write `roots.pem` — the trust store the dataset was classified
-/// against, so a consumer can rebuild an identical validator.
+/// against, so a consumer can rebuild an identical validator —
+/// atomically.
 pub(crate) fn export_roots(config: &ScaleConfig, dir: &Path) -> io::Result<()> {
     let eco = crate::certgen::CaEcosystem::generate(config);
-    let mut roots_out = BufWriter::new(File::create(dir.join("roots.pem"))?);
-    for root in &eco.roots {
-        roots_out.write_all(pem_encode("CERTIFICATE", root.to_der()).as_bytes())?;
-    }
-    roots_out.flush()
+    atomic_write(&dir.join("roots.pem"), |out| {
+        for root in &eco.roots {
+            out.write_all(pem_encode("CERTIFICATE", root.to_der()).as_bytes())?;
+        }
+        Ok(())
+    })
 }
 
 /// Run the simulation and write the corpus into `dir` (created if

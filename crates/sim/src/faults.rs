@@ -18,6 +18,7 @@
 use crate::config::ScaleConfig;
 use rand::rngs::StdRng;
 use rand::Rng;
+use silentcert_crypto::hex;
 use silentcert_net::Ipv4;
 use silentcert_x509::pem::base64_decode;
 use std::collections::HashSet;
@@ -455,14 +456,6 @@ fn row_is_well_formed(line: &str) -> bool {
         && fields[2].parse::<Ipv4>().is_ok()
         && fields[3].len() == 64
         && fields[3].bytes().all(|b| b.is_ascii_hexdigit())
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
 }
 
 #[cfg(test)]

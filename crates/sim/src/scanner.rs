@@ -30,17 +30,19 @@
 //! [`crate::export::export_corpus`]'s output byte-for-byte.
 
 use crate::config::{ConfigError, ScaleConfig};
-use crate::export::{export_completeness, export_roots, export_tables_filtered};
+use crate::export::{export_completeness, export_roots, export_tables_filtered, operator_label};
 use crate::faults::{lottery, NetFaultPlan};
 use crate::world::{simulate_streaming, SimOutput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silentcert_core::dataset::{ScanCompleteness, ScanId};
+use silentcert_crypto::hex;
 use silentcert_net::Ipv4;
 use silentcert_obs::atomic_write;
+use silentcert_obs::trace;
 use silentcert_x509::pem::pem_encode;
 use silentcert_x509::Fingerprint;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -98,15 +100,6 @@ impl RetryPolicy {
             silentcert_core::Operator::UMich => &config.umich_policy,
             silentcert_core::Operator::Rapid7 => &config.rapid7_policy,
         }
-    }
-}
-
-/// Snake-case `operator` label for `silentcert_sim_*` metric series
-/// (the enum's `Display` is the paper's prose name, unfit for a label).
-fn operator_label(op: silentcert_core::Operator) -> &'static str {
-    match op {
-        silentcert_core::Operator::UMich => "umich",
-        silentcert_core::Operator::Rapid7 => "rapid7",
     }
 }
 
@@ -355,14 +348,6 @@ fn config_digest(config: &ScaleConfig) -> String {
     hex(&silentcert_crypto::sha256(format!("{config:?}").as_bytes()))
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
 /// Resume cursor plus accumulated per-slot results — everything a
 /// resumed invocation needs (host outcomes are re-derivable from the
 /// per-host RNGs, so no RNG state is stored).
@@ -531,11 +516,15 @@ pub fn run_scan(
     // Re-simulate the ideal world. Certificates are collected in sink
     // order — the same order `export_corpus` streams them — so the
     // filtered `certs.pem` stays byte-identical where nothing is dropped.
+    let tracer = trace::tracer();
     let mut pem_blocks: Vec<(Fingerprint, String)> = Vec::new();
-    let out: SimOutput = simulate_streaming(config, &mut |cert| {
-        pem_blocks.push((cert.fingerprint(), pem_encode("CERTIFICATE", cert.to_der())));
-        true
-    });
+    let out: SimOutput = {
+        let _span = tracer.span("scan.simulate");
+        simulate_streaming(config, &mut |cert| {
+            pem_blocks.push((cert.fingerprint(), pem_encode("CERTIFICATE", cert.to_der())));
+            true
+        })
+    };
     let dataset = &out.dataset;
     let n_slots = dataset.scans.len();
     ckpt.completeness.resize(
@@ -547,6 +536,7 @@ pub fn run_scan(
     let mut probes_this_run = 0u64;
     let mut interrupted = false;
 
+    let probe_span = tracer.span("scan.probe");
     'slots: for slot_idx in ckpt.slot..n_slots {
         let scan = ScanId(slot_idx as u16);
         let info = dataset.scan(scan);
@@ -639,6 +629,8 @@ pub fn run_scan(
         }
     }
 
+    drop(probe_span);
+
     ckpt.probes_total += probes_this_run;
     if interrupted {
         ckpt.write(dir)?;
@@ -656,50 +648,59 @@ pub fn run_scan(
         .collect();
     let keep = |scan: ScanId, ip: Ipv4| !dropped.contains(&(scan.0, ip.0));
 
+    let write_certs_span = tracer.span("scan.write_certs");
     // A certificate is dropped only if it *was* observed in the ideal
     // dataset and every one of those observations was lost. Chain certs
     // (CA intermediates) never have observation rows and always survive.
-    let ever_observed: HashSet<Fingerprint> = dataset
-        .observations
+    let mut ever_observed = vec![false; dataset.certs.len()];
+    let mut still_observed = vec![false; dataset.certs.len()];
+    let mut observations_written = 0;
+    for o in &dataset.observations {
+        let id = o.cert.0 as usize;
+        ever_observed[id] = true;
+        if keep(o.scan, o.ip) {
+            still_observed[id] = true;
+            observations_written += 1;
+        }
+    }
+    let cert_ids: HashMap<Fingerprint, usize> = dataset
+        .certs
         .iter()
-        .map(|o| dataset.cert(o.cert).fingerprint)
+        .enumerate()
+        .map(|(id, meta)| (meta.fingerprint, id))
         .collect();
-    let still_observed: HashSet<Fingerprint> = dataset
-        .observations
-        .iter()
-        .filter(|o| keep(o.scan, o.ip))
-        .map(|o| dataset.cert(o.cert).fingerprint)
-        .collect();
+    let survives = |fp: &Fingerprint| {
+        cert_ids
+            .get(fp)
+            .is_none_or(|&id| !ever_observed[id] || still_observed[id])
+    };
+    let mut certs_written = 0;
     atomic_write(&dir.join("certs.pem"), |out| {
         for (fp, block) in &pem_blocks {
-            if !ever_observed.contains(fp) || still_observed.contains(fp) {
+            if survives(fp) {
                 out.write_all(block.as_bytes())?;
+                certs_written += 1;
             }
         }
         Ok(())
     })?;
-
-    export_tables_filtered(dataset, dir, &keep)?;
     export_roots(config, dir)?;
-    export_completeness(dataset, &ckpt.completeness, dir)?;
+    drop(write_certs_span);
+
+    {
+        let _span = tracer.span("scan.write_tables");
+        export_tables_filtered(dataset, dir, &keep)?;
+        export_completeness(dataset, &ckpt.completeness, dir)?;
+    }
 
     // The corpus is whole: the checkpoint (if any) is now stale.
     let _ = fs::remove_file(dir.join(CHECKPOINT_FILE));
 
-    let observations_written = dataset
-        .observations
-        .iter()
-        .filter(|o| keep(o.scan, o.ip))
-        .count();
     let dropped_hosts = ckpt
         .completeness
         .iter()
         .map(ScanCompleteness::lost_hosts)
         .sum();
-    let certs_written = pem_blocks
-        .iter()
-        .filter(|(fp, _)| !ever_observed.contains(fp) || still_observed.contains(fp))
-        .count();
     Ok(ScanOutcome::Complete(Box::new(ScanRunReport {
         completeness: ckpt.completeness,
         dropped_hosts,

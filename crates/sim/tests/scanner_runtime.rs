@@ -361,3 +361,36 @@ proptest! {
         prop_assert!(attempts <= policy.max_attempts);
     }
 }
+
+/// `repro --trace FILE scan DIR` attributes the scan's wall time to its
+/// phases: one top-level span each, in order, on the calling thread.
+#[test]
+fn scan_phases_are_traced() {
+    let dir = tempdir("spans");
+    run_scan(&test_config(), &dir, &ScanOptions::default()).unwrap();
+    // Other tests in this binary scan concurrently; keep this thread's.
+    let me = std::thread::current().name().unwrap_or("main").to_string();
+    let phases: Vec<String> = silentcert_obs::trace::tracer()
+        .drain()
+        .into_iter()
+        .filter_map(|r| match r {
+            silentcert_obs::Record::Span {
+                name,
+                parent: None,
+                thread,
+                ..
+            } if thread == me => Some(name),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        phases,
+        [
+            "scan.simulate",
+            "scan.probe",
+            "scan.write_certs",
+            "scan.write_tables"
+        ]
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

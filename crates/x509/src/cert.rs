@@ -3,6 +3,7 @@
 use crate::extensions::Extension;
 use crate::name::Name;
 use silentcert_asn1::{Decoder, Encoder, Error as DerError, Oid, Tag, Time};
+use silentcert_crypto::hex;
 use silentcert_crypto::sha256::sha256;
 use silentcert_crypto::sig::{PublicKey, SigAlgorithm, SigError, Signature};
 use std::fmt;
@@ -22,17 +23,14 @@ impl fmt::Debug for Fingerprint {
 
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.0[..8] {
-            write!(f, "{b:02x}")?;
-        }
-        write!(f, "…")
+        write!(f, "{}…", hex(&self.0[..8]))
     }
 }
 
 impl Fingerprint {
     /// Full lowercase hex.
     pub fn to_hex(self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        hex(&self.0)
     }
 }
 
@@ -380,7 +378,7 @@ impl Certificate {
 
     /// Serial number as lowercase hex.
     pub fn serial_hex(&self) -> String {
-        self.serial.iter().map(|b| format!("{b:02x}")).collect()
+        hex(&self.serial)
     }
 }
 
