@@ -2,7 +2,7 @@
 //!
 //! Each shard keeps its own metrics registry; the cluster does not
 //! share memory with its children. The fleet scraper turns that into
-//! one coherent view by running a `stats` round trip against every Up
+//! one coherent view by scattering one `stats` round trip to every Up
 //! shard and re-emitting each flat numeric field as a labeled series:
 //! `silentcert_fleet_<field>{shard="i"}`. Merged with the supervisor's
 //! lifecycle counters and the router's own registry, the `metrics` verb
@@ -11,23 +11,12 @@
 //! both JSON and Prometheus text exposition.
 
 use crate::directory::Directory;
+use silentcert_net::scatter::{scatter_lines, ScatterTarget};
 use silentcert_obs::metrics::Snapshot;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// One shard's `stats` reply as flat numeric fields.
-fn scrape_one(addr: &str, timeout: Duration) -> Option<Vec<(String, f64)>> {
-    let sock = addr.parse::<std::net::SocketAddr>().ok()?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout).ok()?;
-    stream.set_read_timeout(Some(timeout)).ok()?;
-    stream.set_write_timeout(Some(timeout)).ok()?;
-    stream
-        .write_all(b"{\"op\":\"stats\",\"id\":\"fleet\"}\n")
-        .ok()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).ok()?;
-    let v = silentcert_obs::json::parse(&line).ok()?;
+fn stats_fields(reply: &str) -> Option<Vec<(String, f64)>> {
+    let v = silentcert_obs::json::parse(reply).ok()?;
     if v.get("code").and_then(|c| c.as_f64()) != Some(200.0) {
         return None;
     }
@@ -42,11 +31,20 @@ fn scrape_one(addr: &str, timeout: Duration) -> Option<Vec<(String, f64)>> {
 
 /// Fold every Up shard's `stats` into `snap` as
 /// `silentcert_fleet_<field>{shard="i"}` series, plus a scrape-health
-/// gauge per shard (1 answered, 0 did not).
+/// gauge per shard (1 answered, 0 did not). One scatter round covers
+/// every shard, so a scrape takes as long as the slowest shard.
 pub fn scrape_into(snap: &mut Snapshot, directory: &Directory, timeout_ms: u64) {
-    let timeout = Duration::from_millis(timeout_ms.max(1));
-    for (id, addr) in directory.up_shards() {
-        match scrape_one(&addr, timeout) {
+    let shards = directory.up_shards();
+    let targets: Vec<ScatterTarget> = shards
+        .iter()
+        .map(|(_, addr)| ScatterTarget {
+            addr: addr.clone(),
+            line: r#"{"op":"stats","id":"fleet"}"#.to_string(),
+        })
+        .collect();
+    let replies = scatter_lines(&targets, timeout_ms);
+    for ((id, _), reply) in shards.iter().zip(replies) {
+        match reply.as_deref().and_then(stats_fields) {
             Some(fields) => {
                 snap.set_gauge(&format!("silentcert_fleet_scrape_ok{{shard=\"{id}\"}}"), 1);
                 for (field, value) in fields {

@@ -12,10 +12,9 @@
 //! probe slate).
 
 use crate::directory::{Directory, ShardHealth};
+use silentcert_net::client::round_trip;
 use silentcert_obs::metrics::Registry;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,27 +39,10 @@ impl Default for ProberConfig {
 }
 
 /// One `health` round trip; true iff the shard answered `code: 200`.
-fn probe_once(addr: &str, timeout: Duration) -> bool {
-    let Ok(sock) = addr.parse::<std::net::SocketAddr>() else {
-        return false;
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sock, timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    if stream
-        .write_all(b"{\"op\":\"health\",\"id\":\"probe\"}\n")
-        .is_err()
-    {
-        return false;
-    }
-    let mut line = String::new();
-    if BufReader::new(stream).read_line(&mut line).is_err() {
-        return false;
-    }
-    silentcert_obs::json::parse(&line)
+fn healthy(addr: &str, timeout: Duration) -> bool {
+    round_trip(addr, r#"{"op":"health","id":"probe"}"#, timeout, timeout)
         .ok()
+        .and_then(|line| silentcert_obs::json::parse(&line).ok())
         .and_then(|v| v.get("code").and_then(|c| c.as_f64()))
         == Some(200.0)
 }
@@ -86,7 +68,7 @@ pub fn start_prober(
                     };
                     match view.health {
                         ShardHealth::Up => {
-                            if probe_once(addr, timeout) {
+                            if healthy(addr, timeout) {
                                 failures.remove(&view.id);
                             } else {
                                 let slot = failures.entry(view.id).or_insert((0, view.generation));
@@ -116,7 +98,7 @@ pub fn start_prober(
                             // The process may still be alive (marked
                             // Down by probes, not by exit): a healthy
                             // answer reinstates it.
-                            if probe_once(addr, timeout) {
+                            if healthy(addr, timeout) {
                                 directory.set_up(view.id, addr, view.generation);
                                 failures.remove(&view.id);
                                 registry

@@ -42,13 +42,14 @@ use crate::directory::Directory;
 use crate::fleet;
 use crate::supervisor::{AdminOp, AdminResult};
 use silentcert_crypto::sha256;
+use silentcert_net::client::round_trip;
 use silentcert_obs::metrics::{Counter, Registry, Snapshot};
 use silentcert_serve::protocol::{self, code, Op};
 use silentcert_serve::queue::{BoundedQueue, PushError};
 use silentcert_serve::{Completion, CoreConfig, EventCore, LoopStats, Service, SystemClock, Token};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -727,31 +728,16 @@ fn forward(
     line: &str,
     timeout_ms: u64,
 ) -> Result<String, ForwardError> {
-    let sock: SocketAddr = addr.parse().map_err(|_| ForwardError::Transport)?;
-    let connect_timeout = Duration::from_millis(shared.config.connect_timeout_ms.max(1));
-    let io_timeout = Duration::from_millis(timeout_ms.max(1));
-    let mut stream =
-        TcpStream::connect_timeout(&sock, connect_timeout).map_err(|_| ForwardError::Transport)?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(io_timeout))
-        .map_err(|_| ForwardError::Transport)?;
-    stream
-        .set_write_timeout(Some(io_timeout))
-        .map_err(|_| ForwardError::Transport)?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .map_err(|_| ForwardError::Transport)?;
-    let mut resp = String::new();
-    match BufReader::new(stream).read_line(&mut resp) {
-        Ok(0) => Err(ForwardError::Transport),
-        Ok(_) => Ok(resp.trim_end().to_string()),
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            Err(ForwardError::Timeout)
-        }
-        Err(_) => Err(ForwardError::Transport),
-    }
+    round_trip(
+        addr,
+        line,
+        Duration::from_millis(shared.config.connect_timeout_ms.max(1)),
+        Duration::from_millis(timeout_ms.max(1)),
+    )
+    .map_err(|e| match e.kind() {
+        ErrorKind::TimedOut => ForwardError::Timeout,
+        _ => ForwardError::Transport,
+    })
 }
 
 fn route_and_forward(

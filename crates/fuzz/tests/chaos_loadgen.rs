@@ -3,6 +3,8 @@
 //! transport faults) must end with a clean drain, and every 500 the
 //! clients saw must map to a journaled panic record — no unjournaled
 //! 500s, no crash, and a journal that replays without mismatches.
+//! The load engine is epoll-driven, so this runs on Linux only.
+#![cfg(target_os = "linux")]
 
 use silentcert_crypto::entropy::XorShift64;
 use silentcert_crypto::hex;

@@ -6,9 +6,11 @@
 //! [`RoutingHistory`]), the AS classification dataset ([`AsType`]), and the
 //! AS-to-organization dataset (country codes on [`AsInfo`]). It also
 //! hosts the consistent-hash [`Ring`] the cluster router uses to place
-//! request fingerprints onto daemon shards.
+//! request fingerprints onto daemon shards, and the workspace's one
+//! line-protocol client ([`client`], with [`scatter`] on top).
 
 pub mod asdb;
+pub mod client;
 #[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod ip;

@@ -1,20 +1,20 @@
-//! Scatter/gather one-line requests: the fleet aggregator's scrape
-//! client (DESIGN.md §16).
+//! Scatter/gather one-line requests: the fleet's scrape client
+//! (DESIGN.md §16).
 //!
 //! Every scrape round sends one newline-delimited request to every
 //! shard and wants every response within one deadline. Doing that with
-//! one blocking round-trip per shard makes the round's latency the
+//! one blocking round trip per shard makes the round's latency the
 //! *sum* of shard latencies — and one stalled shard starves the whole
-//! round. This client multiplexes all the round's connections on the
-//! same [`epoll`](crate::epoll) wrapper the serve tier's event loop
-//! uses: connects are sequential (cheap on a LAN, bounded by the
-//! remaining deadline each), then a single poll loop drives every
-//! write + read concurrently until each connection has produced one
-//! response line or the deadline expires.
+//! round. This client multiplexes all the round's connections as
+//! [`LineConn`](crate::client::LineConn)s on one
+//! [`epoll`](crate::epoll) poller: connects are sequential (cheap on a
+//! LAN, bounded by the remaining deadline each), then a single poll
+//! loop drives every write + read concurrently until each connection
+//! has produced one response line or the deadline expires.
 //!
-//! Off Linux the module degrades to sequential blocking round-trips
-//! with the same per-call deadline semantics, matching the event loop's
-//! own fallback.
+//! Off Linux, and where epoll is unavailable, the round degrades to
+//! sequential [`round_trip`](crate::client::round_trip)s sharing the
+//! same deadline.
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,11 @@ pub struct ScatterTarget {
 /// on connect failure, transport error, or deadline expiry.
 pub fn scatter_lines(targets: &[ScatterTarget], timeout_ms: u64) -> Vec<Option<String>> {
     let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
-    imp::run(targets, deadline)
+    #[cfg(target_os = "linux")]
+    if let Ok(poller) = crate::epoll::Poller::new() {
+        return multiplexed(poller, targets, deadline);
+    }
+    sequential(targets, deadline)
 }
 
 fn remaining(deadline: Instant) -> Duration {
@@ -39,194 +43,74 @@ fn remaining(deadline: Instant) -> Duration {
 }
 
 #[cfg(target_os = "linux")]
-mod imp {
-    use super::{remaining, ScatterTarget};
-    use crate::epoll::{Event, Poller, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
+fn multiplexed(
+    mut poller: crate::epoll::Poller,
+    targets: &[ScatterTarget],
+    deadline: Instant,
+) -> Vec<Option<String>> {
+    use crate::client::LineConn;
 
-    struct Conn {
-        stream: TcpStream,
-        out: Vec<u8>,
-        out_pos: usize,
-        inbuf: Vec<u8>,
-        done: bool,
-    }
-
-    pub(super) fn run(targets: &[ScatterTarget], deadline: Instant) -> Vec<Option<String>> {
-        let mut results: Vec<Option<String>> = vec![None; targets.len()];
-        let Ok(mut poller) = Poller::new() else {
-            // Locked-down seccomp: same degradation as the event loop.
-            return super::fallback::run(targets, deadline);
-        };
-        let mut conns: Vec<Option<Conn>> = Vec::with_capacity(targets.len());
-        let mut open = 0usize;
-        for (i, t) in targets.iter().enumerate() {
-            let budget = remaining(deadline);
-            let conn = t
-                .addr
-                .parse()
-                .ok()
-                .filter(|_| !budget.is_zero())
-                .and_then(|sa| TcpStream::connect_timeout(&sa, budget).ok())
-                .and_then(|stream| {
-                    stream.set_nodelay(true).ok()?;
-                    stream.set_nonblocking(true).ok()?;
-                    let mut out = t.line.clone().into_bytes();
-                    if out.last() != Some(&b'\n') {
-                        out.push(b'\n');
-                    }
-                    poller
-                        .add(
-                            stream.as_raw_fd(),
-                            EPOLLIN | EPOLLOUT | EPOLLRDHUP,
-                            i as u64,
-                        )
-                        .ok()?;
-                    Some(Conn {
-                        stream,
-                        out,
-                        out_pos: 0,
-                        inbuf: Vec::new(),
-                        done: false,
-                    })
-                });
-            if conn.is_some() {
-                open += 1;
-            }
-            conns.push(conn);
-        }
-
-        let mut events: Vec<Event> = Vec::new();
-        let mut scratch = vec![0u8; 16 * 1024];
-        while open > 0 {
+    let mut results: Vec<Option<String>> = vec![None; targets.len()];
+    let mut conns: Vec<Option<LineConn>> = targets
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
             let budget = remaining(deadline);
             if budget.is_zero() {
-                break;
+                return None;
             }
-            let timeout = i32::try_from(budget.as_millis().max(1)).unwrap_or(i32::MAX);
-            events.clear(); // wait() appends; stale events must not replay
-            let Ok(n) = poller.wait(&mut events, timeout) else {
-                break;
+            let mut conn = LineConn::connect_timeout(&t.addr.parse().ok()?, budget).ok()?;
+            conn.queue_line(t.line.as_bytes());
+            conn.register(&poller, i as u64, true).ok()?;
+            Some(conn)
+        })
+        .collect();
+    let mut open = conns.iter().flatten().count();
+    let mut events = Vec::new();
+    while open > 0 {
+        let budget = remaining(deadline);
+        if budget.is_zero() {
+            break;
+        }
+        let timeout = i32::try_from(budget.as_millis().max(1)).unwrap_or(i32::MAX);
+        events.clear(); // wait() appends; stale events must not replay
+        if poller.wait(&mut events, timeout).is_err() {
+            break;
+        }
+        for ev in &events {
+            let i = ev.token as usize;
+            let Some(conn) = conns.get_mut(i).and_then(Option::as_mut) else {
+                continue;
             };
-            if n == 0 {
-                continue; // deadline re-checked at loop top
-            }
-            for ev in events.iter().take(n) {
-                let i = ev.token as usize;
-                let Some(conn) = conns.get_mut(i).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if conn.done {
-                    continue;
-                }
-                let hangup = ev.closing;
-                if ev.writable && conn.out_pos < conn.out.len() {
-                    loop {
-                        match conn.stream.write(&conn.out[conn.out_pos..]) {
-                            Ok(0) => break,
-                            Ok(w) => {
-                                conn.out_pos += w;
-                                if conn.out_pos == conn.out.len() {
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                conn.done = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !conn.done && (ev.readable || hangup) {
-                    loop {
-                        match conn.stream.read(&mut scratch) {
-                            Ok(0) => {
-                                conn.done = true;
-                                break;
-                            }
-                            Ok(r) => {
-                                conn.inbuf.extend_from_slice(&scratch[..r]);
-                                if let Some(pos) = conn.inbuf.iter().position(|&b| b == b'\n') {
-                                    results[i] = String::from_utf8(conn.inbuf[..pos].to_vec())
-                                        .ok()
-                                        .map(|s| s.trim_end_matches('\r').to_string());
-                                    conn.done = true;
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                conn.done = true;
-                                break;
-                            }
-                        }
-                    }
-                } else if hangup {
-                    conn.done = true;
-                }
-                if conn.done {
-                    let _ = poller.delete(conn.stream.as_raw_fd());
-                    open -= 1;
-                }
+            let io = conn.flush().and_then(|()| conn.fill());
+            let done = if let Some(line) = conn.next_line() {
+                results[i] = String::from_utf8(line.to_vec()).ok();
+                true
+            } else {
+                io.is_err() || conn.at_eof() || conn.reregister(&poller, i as u64, true).is_err()
+            };
+            if done {
+                conn.deregister(&poller);
+                conns[i] = None;
+                open -= 1;
             }
         }
-        results
     }
+    results
 }
 
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    pub(super) use super::fallback::run;
-}
-
-/// Sequential blocking round-trips sharing one overall deadline — the
-/// non-Linux path, and the Linux escape hatch when epoll is unavailable.
-mod fallback {
-    use super::{remaining, ScatterTarget};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::time::Instant;
-
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    pub(super) fn run(targets: &[ScatterTarget], deadline: Instant) -> Vec<Option<String>> {
-        targets
-            .iter()
-            .map(|t| {
-                let budget = remaining(deadline);
-                if budget.is_zero() {
-                    return None;
-                }
-                let sa = t.addr.parse().ok()?;
-                let mut stream = TcpStream::connect_timeout(&sa, budget).ok()?;
-                stream
-                    .set_read_timeout(Some(
-                        remaining(deadline).max(std::time::Duration::from_millis(1)),
-                    ))
-                    .ok()?;
-                stream
-                    .set_write_timeout(Some(
-                        remaining(deadline).max(std::time::Duration::from_millis(1)),
-                    ))
-                    .ok()?;
-                let mut line = t.line.clone();
-                if !line.ends_with('\n') {
-                    line.push('\n');
-                }
-                stream.write_all(line.as_bytes()).ok()?;
-                let mut resp = String::new();
-                BufReader::new(stream).read_line(&mut resp).ok()?;
-                if resp.is_empty() {
-                    None
-                } else {
-                    Some(resp.trim_end().to_string())
-                }
-            })
-            .collect()
-    }
+/// One blocking round trip per target, all under the round's deadline.
+fn sequential(targets: &[ScatterTarget], deadline: Instant) -> Vec<Option<String>> {
+    targets
+        .iter()
+        .map(|t| {
+            let budget = remaining(deadline);
+            if budget.is_zero() {
+                return None;
+            }
+            crate::client::round_trip(&t.addr, &t.line, budget, budget).ok()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -240,7 +240,9 @@ impl Tracer {
         level_to_usize(level) <= self.level.load(Ordering::Relaxed)
     }
 
-    fn now_ms(&self) -> u64 {
+    /// The tracer clock's current reading (the time base of every
+    /// record's `ts_ms`, e.g. for [`Tracer::record_span`]).
+    pub fn now_ms(&self) -> u64 {
         self.clock.read().unwrap().now_ms()
     }
 

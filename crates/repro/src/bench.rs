@@ -46,7 +46,7 @@ pub struct Measurement {
 #[derive(Debug)]
 pub struct ServePoint {
     pub connections: usize,
-    /// Open-loop in-flight requests per connection.
+    /// In-flight requests per connection.
     pub pipeline: usize,
     pub requests: usize,
     /// Achieved requests/second over the whole run (unpaced).
@@ -387,12 +387,10 @@ fn peak_rss_bytes() -> u64 {
 }
 
 /// Daemon throughput swept across connection counts: serve the
-/// simulated ecosystem in-process and replay the loadgen corpus
-/// open-loop, no faults. The `fd_budget` caps the sweep so runners
-/// with a small `ulimit -n` skip the points they cannot hold (client
-/// and daemon share this process's fd table).
+/// simulated ecosystem in-process and replay the loadgen corpus with
+/// pipelining, no faults.
 fn bench_serve(config: &ScaleConfig, requests: usize, fd_budget: usize) -> ServeMeasurement {
-    use silentcert_serve::{loadgen, server, BreakerConfig, LoadgenOptions, ServeConfig};
+    use silentcert_serve::{server, BreakerConfig, ServeConfig};
 
     let workers = 2;
     let (_, validator) = crate::serve_cmd::build_validator(config);
@@ -414,61 +412,7 @@ fn bench_serve(config: &ScaleConfig, requests: usize, fd_budget: usize) -> Serve
     )
     .expect("bind loopback for serve bench");
     let corpus = crate::serve_cmd::request_corpus(config, false, 0.0);
-    // Warm up the verify memo, the response cache and the connection
-    // path before timing.
-    let warmup = loadgen::run(
-        &LoadgenOptions {
-            addr: handle.addr().to_string(),
-            connections: 4,
-            requests: corpus.len(),
-            ..LoadgenOptions::default()
-        },
-        &corpus,
-    );
-    assert_eq!(warmup.code_other, 0, "warmup failed: {warmup:?}");
-
-    // (connections, pipeline): one closed-loop-comparable point, then
-    // progressively wider fan-in at shallower per-connection depth.
-    let shapes: [(usize, usize); 3] = [(4, 32), (256, 8), (4_096, 4)];
-    let mut sweep = Vec::new();
-    for (connections, pipeline) in shapes {
-        // Each side of the loopback pair costs one fd, plus slack for
-        // the listener, journal, metrics scrape and std handles.
-        if connections * 2 + 64 > fd_budget {
-            warn!(
-                "serve sweep: skipping {connections} connections \
-                 (fd budget {fd_budget})"
-            );
-            continue;
-        }
-        let report = loadgen::run(
-            &LoadgenOptions {
-                addr: handle.addr().to_string(),
-                connections,
-                requests,
-                open_loop: true,
-                pipeline,
-                ramp_ms: if connections >= 1_000 { 1_000 } else { 0 },
-                ..LoadgenOptions::default()
-            },
-            &corpus,
-        );
-        assert_eq!(
-            report.answered as usize, requests,
-            "serve bench dropped requests at {connections} conns: {report:?}"
-        );
-        sweep.push(ServePoint {
-            connections,
-            pipeline,
-            requests,
-            qps: report.qps(),
-            p50_us: report.p50_us,
-            p99_us: report.p99_us,
-            max_us: report.max_us,
-            shed_rate: report.shed_rate(),
-            transport_errors: report.transport_errors,
-        });
-    }
+    let sweep = serve_sweep(&handle.addr().to_string(), &corpus, requests, fd_budget);
     handle.shutdown();
     let summary = handle.wait();
     assert!(
@@ -487,6 +431,82 @@ fn bench_serve(config: &ScaleConfig, requests: usize, fd_budget: usize) -> Serve
         above_floor: speedup >= SERVE_SPEEDUP_FLOOR,
         peak_rss_bytes: peak_rss_bytes(),
     }
+}
+
+/// The serve sweep off Linux: the load engine is epoll-driven.
+#[cfg(not(target_os = "linux"))]
+fn serve_sweep(_addr: &str, _corpus: &[String], _requests: usize, _fd: usize) -> Vec<ServePoint> {
+    warn!("serve sweep: skipped (loadgen needs Linux (epoll))");
+    Vec::new()
+}
+
+/// The sweep's points against the daemon at `addr`. The `fd_budget`
+/// caps it so runners with a small `ulimit -n` skip the points they
+/// cannot hold (client and daemon share this process's fd table).
+#[cfg(target_os = "linux")]
+fn serve_sweep(
+    addr: &str,
+    corpus: &[String],
+    requests: usize,
+    fd_budget: usize,
+) -> Vec<ServePoint> {
+    use silentcert_serve::{loadgen, LoadgenOptions};
+
+    // Warm up the verify memo, the response cache and the connection
+    // path before timing.
+    let warmup = loadgen::run(
+        &LoadgenOptions {
+            addr: addr.to_string(),
+            connections: 4,
+            requests: corpus.len(),
+            ..LoadgenOptions::default()
+        },
+        corpus,
+    );
+    assert_eq!(warmup.code_other, 0, "warmup failed: {warmup:?}");
+
+    // (connections, pipeline): a few deep connections, then
+    // progressively wider fan-in at shallower per-connection depth.
+    let shapes: [(usize, usize); 3] = [(4, 32), (256, 8), (4_096, 4)];
+    let mut sweep = Vec::new();
+    for (connections, pipeline) in shapes {
+        // Each side of the loopback pair costs one fd, plus slack for
+        // the listener, journal, metrics scrape and std handles.
+        if connections * 2 + 64 > fd_budget {
+            warn!(
+                "serve sweep: skipping {connections} connections \
+                 (fd budget {fd_budget})"
+            );
+            continue;
+        }
+        let report = loadgen::run(
+            &LoadgenOptions {
+                addr: addr.to_string(),
+                connections,
+                requests,
+                pipeline,
+                ramp_ms: if connections >= 1_000 { 1_000 } else { 0 },
+                ..LoadgenOptions::default()
+            },
+            corpus,
+        );
+        assert_eq!(
+            report.answered as usize, requests,
+            "serve bench dropped requests at {connections} conns: {report:?}"
+        );
+        sweep.push(ServePoint {
+            connections,
+            pipeline,
+            requests,
+            qps: report.qps(),
+            p50_us: report.p50_us,
+            p99_us: report.p99_us,
+            max_us: report.max_us,
+            shed_rate: report.shed_rate(),
+            transport_errors: report.transport_errors,
+        });
+    }
+    sweep
 }
 
 /// Run the benchmark suite and write `BENCH.json` to `out`.

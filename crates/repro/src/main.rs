@@ -167,12 +167,9 @@ fn usage() -> ! {
          \x20                    25%, remove newest at 50%, rolling restart\n\
          \x20                    at 75%; \"rolling\" = rolling restart at 50%\n\
          \x20 --shutdown         send a shutdown frame when the run ends\n\
-         \x20 --open-loop        epoll engine: one thread multiplexes all\n\
-         \x20                    connections (enables --connections 10000+;\n\
-         \x20                    incompatible with --chaos)\n\
-         \x20 --pipeline N       open-loop in-flight requests per connection\n\
+         \x20 --pipeline N       in-flight requests per connection\n\
          \x20                    (default 1)\n\
-         \x20 --ramp-ms N        open-loop connection ramp duration\n\
+         \x20 --ramp-ms N        connection ramp duration\n\
          \x20                    (default 0: connect all at once)\n\
          \n\
          options for fuzz:\n\
@@ -265,7 +262,6 @@ fn run() {
     let mut qps: u64 = 0;
     let mut chaos_panics = false;
     let mut shutdown = false;
-    let mut open_loop = false;
     let mut pipeline: usize = 1;
     let mut ramp_ms: u64 = 0;
     let mut format: Option<String> = None;
@@ -304,7 +300,6 @@ fn run() {
             "--strict-workers" => strict_workers = true,
             "--chaos-panics" => chaos_panics = true,
             "--shutdown" => shutdown = true,
-            "--open-loop" => open_loop = true,
             "--pipeline" => {
                 i += 1;
                 pipeline = args
@@ -712,7 +707,6 @@ fn run() {
                 mutate,
                 shutdown,
                 cluster,
-                open_loop,
                 pipeline,
                 ramp_ms,
                 reconfigure,

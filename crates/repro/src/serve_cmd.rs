@@ -13,15 +13,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use silentcert_crypto::entropy::{EntropySource, XorShift64};
 use silentcert_crypto::hex;
+use silentcert_net::client::round_trip;
 use silentcert_obs::{error, info};
-use silentcert_serve::loadgen::{ClientFaultPlan, LoadgenOptions};
-use silentcert_serve::{loadgen, server, BreakerConfig, ServeConfig};
+#[cfg(target_os = "linux")]
+use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
+use silentcert_serve::{server, BreakerConfig, ServeConfig};
 use silentcert_sim::certgen::{sim_key, CaEcosystem};
 use silentcert_sim::ScaleConfig;
 use silentcert_validate::{TrustStore, Validator};
 use silentcert_x509::{CertificateBuilder, Name, Time};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,13 +66,9 @@ pub struct LoadgenCliOptions {
     /// Cluster chaos: mid-run, ask the router's supervisor to SIGKILL a
     /// shard (needs a `repro cluster` front with `--chaos-ops`).
     pub cluster: bool,
-    /// Use the epoll open-loop engine: one thread multiplexes every
-    /// connection, making `--connections 10000`+ feasible. Incompatible
-    /// with `--chaos` (fault injection stays on the closed loop).
-    pub open_loop: bool,
-    /// Open-loop pipelining window (in-flight requests per connection).
+    /// Pipelining window (in-flight requests per connection).
     pub pipeline: usize,
-    /// Open-loop connection ramp duration in milliseconds.
+    /// Connection ramp duration in milliseconds.
     pub ramp_ms: u64,
     /// Mid-run fleet reconfiguration against a `repro cluster --admin`
     /// front: `"full"` fires add-shard at ¼ of the sends, removes the
@@ -234,7 +231,15 @@ pub fn run_serve(config: &ScaleConfig, opts: &ServeCliOptions) -> ! {
     crate::exit(0);
 }
 
+/// `repro loadgen` off Linux: the load engine is epoll-driven.
+#[cfg(not(target_os = "linux"))]
+pub fn run_loadgen(_config: &ScaleConfig, _opts: &LoadgenCliOptions) -> ! {
+    error!("loadgen needs Linux (epoll)");
+    crate::exit(2);
+}
+
 /// `repro loadgen`: replay the simulated corpus against a daemon.
+#[cfg(target_os = "linux")]
 pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
     let requests = request_corpus(config, opts.chaos_panics, opts.mutate);
     if opts.mutate > 0.0 {
@@ -250,24 +255,10 @@ pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
         opts.connections,
         opts.addr
     );
-    if opts.open_loop && opts.chaos {
-        error!("--open-loop and --chaos are incompatible (fault injection needs the closed-loop engine)");
-        crate::exit(2);
-    }
     // Cluster chaos: a shard kill fires a third of the way through the
-    // run, so the remaining two thirds exercise the failover + restart
-    // window. The closed loop keys the trigger off worker 0's request
-    // index; the open loop keys it off the aggregate send count.
-    let kill_shard_at = if opts.cluster {
-        if opts.open_loop {
-            Some((opts.requests / 3).max(1))
-        } else {
-            let per_worker = opts.requests / opts.connections.max(1);
-            Some((per_worker / 3).max(1))
-        }
-    } else {
-        None
-    };
+    // run's aggregate sends, so the remaining two thirds exercise the
+    // failover + restart window.
+    let kill_shard_at = opts.cluster.then(|| (opts.requests / 3).max(1));
     if let Some(at) = kill_shard_at {
         info!("cluster chaos armed: shard kill at request {at}");
     }
@@ -322,7 +313,6 @@ pub fn run_loadgen(config: &ScaleConfig, opts: &LoadgenCliOptions) -> ! {
             },
             seed: config.seed ^ 0xc11e47,
             kill_shard_at,
-            open_loop: opts.open_loop,
             pipeline: opts.pipeline,
             ramp_ms: opts.ramp_ms,
             admin_frames,
@@ -378,8 +368,8 @@ pub fn run_metrics(addr: &str, prometheus: bool, fleet: bool) -> ! {
             }
         }
     } else if fleet {
-        match fetch_fleet_json(addr) {
-            Ok(json) => println!("{json}"),
+        match crate::top_cmd::fetch_fleet(addr) {
+            Ok(view) => println!("{}", view.render()),
             Err(e) => {
                 error!("scraping {addr}: {e}");
                 crate::exit(1);
@@ -397,21 +387,23 @@ pub fn run_metrics(addr: &str, prometheus: bool, fleet: bool) -> ! {
     crate::exit(0);
 }
 
+/// Bound on connecting and on the reply for the CLI's round trips.
+const CLI_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// One scrape round trip in Prometheus mode: the exposition arrives
 /// as an escaped JSON string field and is returned unescaped.
 fn fetch_prometheus(addr: &str, op: &str) -> std::io::Result<String> {
     let bad = std::io::Error::other;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(
-        format!("{{\"op\":\"{op}\",\"id\":\"cli\",\"format\":\"prometheus\"}}\n").as_bytes(),
+    let resp = round_trip(
+        addr,
+        &format!("{{\"op\":\"{op}\",\"id\":\"cli\",\"format\":\"prometheus\"}}"),
+        CLI_TIMEOUT,
+        CLI_TIMEOUT,
     )?;
-    let mut resp = String::new();
-    BufReader::new(stream).read_line(&mut resp)?;
     let value = silentcert_obs::json::parse(&resp)
         .map_err(|e| bad(format!("malformed {op} response: {e}")))?;
     if value.get("code").and_then(|c| c.as_f64()) != Some(200.0) {
-        return Err(bad(format!("unexpected response: {}", resp.trim())));
+        return Err(bad(format!("unexpected response: {resp}")));
     }
     value
         .get("exposition")
@@ -420,39 +412,19 @@ fn fetch_prometheus(addr: &str, op: &str) -> std::io::Result<String> {
         .ok_or_else(|| bad(format!("{op} response carried no exposition")))
 }
 
-/// One `fleet` round trip in JSON mode: the aggregated view object.
-fn fetch_fleet_json(addr: &str) -> std::io::Result<String> {
-    let bad = std::io::Error::other;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(b"{\"op\":\"fleet\",\"id\":\"cli\"}\n")?;
-    let mut resp = String::new();
-    BufReader::new(stream).read_line(&mut resp)?;
-    if !resp.contains("\"code\":200") {
-        return Err(bad(format!("unexpected response: {}", resp.trim())));
-    }
-    // Print the embedded view object verbatim (it is already one-line
-    // JSON); find it structurally rather than re-rendering.
-    let value = silentcert_obs::json::parse(&resp)
-        .map_err(|e| bad(format!("malformed fleet response: {e}")))?;
-    value
-        .get("fleet")
-        .map(|v| v.render())
-        .ok_or_else(|| bad("fleet response carried no view".to_string()))
-}
-
+#[cfg(target_os = "linux")]
 fn send_shutdown(addr: &str) -> std::io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(b"{\"op\":\"shutdown\",\"id\":\"loadgen\"}\n")?;
-    let mut resp = String::new();
-    BufReader::new(stream).read_line(&mut resp)?;
+    let resp = round_trip(
+        addr,
+        r#"{"op":"shutdown","id":"loadgen"}"#,
+        CLI_TIMEOUT,
+        CLI_TIMEOUT,
+    )?;
     if resp.contains("\"code\":200") {
         Ok(())
     } else {
         Err(std::io::Error::other(format!(
-            "unexpected shutdown response: {}",
-            resp.trim()
+            "unexpected shutdown response: {resp}"
         )))
     }
 }
@@ -463,6 +435,7 @@ mod tests {
 
     /// End-to-end through the CLI plumbing: serve the simulated
     /// ecosystem in-process, replay the corpus, drain.
+    #[cfg(target_os = "linux")]
     #[test]
     fn corpus_round_trips_through_a_live_daemon() {
         let config = ScaleConfig::tiny();

@@ -13,10 +13,10 @@
 //! path, so the replayed numbers are the numbers the live fleet
 //! served).
 
+use silentcert_net::client::round_trip;
 use silentcert_obs::error;
 use silentcert_obs::json::{self, Value};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
@@ -81,16 +81,13 @@ pub fn run_top(opts: &TopCliOptions) -> ! {
 }
 
 /// One `fleet` verb round trip, parsed to the view's JSON tree.
-fn fetch_fleet(addr: &str) -> std::io::Result<Value> {
+pub fn fetch_fleet(addr: &str) -> std::io::Result<Value> {
     let bad = std::io::Error::other;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(b"{\"op\":\"fleet\",\"id\":\"top\"}\n")?;
-    let mut resp = String::new();
-    BufReader::new(stream).read_line(&mut resp)?;
+    let timeout = Duration::from_secs(5);
+    let resp = round_trip(addr, r#"{"op":"fleet","id":"top"}"#, timeout, timeout)?;
     let value = json::parse(&resp).map_err(|e| bad(format!("malformed fleet response: {e}")))?;
     if value.get("code").and_then(Value::as_f64) != Some(200.0) {
-        return Err(bad(format!("unexpected response: {}", resp.trim())));
+        return Err(bad(format!("unexpected response: {resp}")));
     }
     value
         .get("fleet")

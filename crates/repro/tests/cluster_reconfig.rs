@@ -1,11 +1,14 @@
 //! Acceptance drill from the issue: zero-downtime fleet operations. A
-//! 3-shard cluster with the admin plane enabled takes open-loop load
+//! 3-shard cluster with the admin plane enabled takes pipelined load
 //! through the router while the loadgen drives a full reconfiguration
 //! schedule — add a shard, remove the newest shard, then roll-restart
 //! the whole fleet one shard at a time. The run must end with zero
 //! transport errors, every admin op acknowledged, the topology epoch
 //! advanced once per cutover, and the books balanced
 //! (journaled-or-refused) across every topology epoch.
+//!
+//! `repro loadgen` is epoll-driven, so these drills run on Linux only.
+#![cfg(target_os = "linux")]
 
 use silentcert_obs::json::{self, Value};
 use std::io::{BufRead, BufReader, Read};
@@ -75,7 +78,6 @@ fn full_reconfiguration_under_load_loses_nothing() {
             "4000",
             "--connections",
             "64",
-            "--open-loop",
             "--pipeline",
             "2",
             "--reconfigure",

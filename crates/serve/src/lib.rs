@@ -28,6 +28,7 @@ pub mod journal;
 /// `silentcert_serve::json::…` paths keep working.
 pub use silentcert_obs::json;
 pub mod loadgen;
+#[cfg(target_os = "linux")]
 pub mod openloop;
 pub mod protocol;
 pub mod queue;

@@ -1,9 +1,11 @@
-//! A load-generating client with transport-level fault injection.
+//! Load generator parameters, the report, and the fault plan.
 //!
-//! Replays a prepared set of request lines against a running daemon at a
-//! target aggregate QPS across several connections, optionally mutating a
-//! fraction of sends into hostile transport behaviour — the same fault
-//! lottery idiom as `silentcert_sim::faults`:
+//! [`run`] replays a prepared set of request lines against a running
+//! daemon at a target aggregate QPS across many connections, driven by
+//! the one load engine ([`crate::openloop`]). A fraction of request
+//! slots can be turned into hostile transport behaviour instead — the
+//! same fault lottery idiom as `silentcert_sim::faults` — each on its
+//! own short-lived connection:
 //!
 //! * **slow-loris**: write half a frame, stall past the server's read
 //!   timeout, expect the connection to be closed on us;
@@ -11,18 +13,15 @@
 //! * **oversize**: send a frame past the server's size cap, expect `413`;
 //! * **garbage**: send bytes that are not JSON at all, expect `400`.
 //!
-//! The report aggregates latency percentiles and per-code counts so the
-//! CI smoke job (and `repro loadgen`) can assert on shed rates and clean
-//! survival.
+//! Every request slot is counted exactly once: answered, a transport
+//! error, or one of the `faults_*` counters. The report aggregates
+//! latency percentiles and per-code counts so the CI smoke jobs (and
+//! `repro loadgen`) can assert on shed rates and clean survival.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use silentcert_obs::trace;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use rand::Rng;
+use silentcert_net::client::round_trip;
+use std::time::Duration;
 
 /// Fault-injection rates, each the probability a given send is replaced
 /// by that fault (checked in order; at most one fault per send).
@@ -45,7 +44,7 @@ impl ClientFaultPlan {
         }
     }
 
-    fn draw(&self, rng: &mut StdRng) -> Option<Fault> {
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> Option<Fault> {
         let roll: f64 = rng.gen_range(0.0..1.0);
         let mut acc = self.slow_loris_rate;
         if roll < acc {
@@ -68,7 +67,7 @@ impl ClientFaultPlan {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fault {
+pub(crate) enum Fault {
     SlowLoris,
     Disconnect,
     Oversize,
@@ -106,22 +105,16 @@ pub struct LoadgenOptions {
     /// Scrape the daemon's `metrics` verb after the run and fold the
     /// snapshot into [`LoadReport::daemon_metrics`].
     pub scrape_metrics: bool,
-    /// Cluster chaos: before sending its request at this index, worker 0
-    /// fires a `chaos_kill_shard` frame on a throwaway connection —
+    /// Cluster chaos: once the aggregate send count reaches this, fire
+    /// a `chaos_kill_shard` frame on a throwaway connection —
     /// SIGKILLing one shard mid-run so failover happens under live load.
     pub kill_shard_at: Option<usize>,
-    /// Use the epoll open-loop engine (`crate::openloop`) instead of a
-    /// thread per connection: one thread multiplexes every connection,
-    /// which is what makes `--connections 50000` feasible. Incompatible
-    /// with fault injection (the engine asserts the plan is empty).
-    pub open_loop: bool,
-    /// Open-loop pipelining window: requests kept in flight per
-    /// connection before waiting for responses. `1` matches the
-    /// closed-loop engine's request/response lockstep.
+    /// Pipelining window: requests kept in flight per connection
+    /// before waiting for responses (`1` is request/response lockstep).
     pub pipeline: usize,
-    /// Open-loop connection ramp: connection `c` of `N` is established
-    /// at `ramp_ms * c / N` into the run, so tens of thousands of
-    /// connects don't land on the listener in one burst.
+    /// Connection ramp: connection `c` of `N` is established at
+    /// `ramp_ms * c / N` into the run, so tens of thousands of connects
+    /// don't land on the listener in one burst.
     pub ramp_ms: u64,
     /// Admin actions fired once the aggregate send count crosses each
     /// threshold. Each action runs on its own thread (a rolling restart
@@ -144,7 +137,6 @@ impl Default for LoadgenOptions {
             oversize_bytes: 2 << 20,
             scrape_metrics: true,
             kill_shard_at: None,
-            open_loop: false,
             pipeline: 1,
             ramp_ms: 0,
             admin_frames: Vec::new(),
@@ -152,9 +144,9 @@ impl Default for LoadgenOptions {
     }
 }
 
-/// Per-phase slice of an open-loop run (connection ramp vs. steady
-/// state), so a report can show whether throughput held once every
-/// connection was established.
+/// Per-phase slice of a run (connection ramp vs. steady state), so a
+/// report can show whether throughput held once every connection was
+/// established.
 #[derive(Debug, Clone)]
 pub struct PhaseReport {
     pub name: &'static str,
@@ -227,7 +219,7 @@ pub struct LoadReport {
     /// set — queue depth, latency quantiles, shed/408/500 counters,
     /// breaker transitions.
     pub daemon_metrics: Option<String>,
-    /// Open-loop runs split into ramp / steady phases (empty otherwise).
+    /// The run split into ramp / steady phases.
     pub phases: Vec<PhaseReport>,
 }
 
@@ -303,24 +295,19 @@ impl LoadReport {
         out
     }
 
-    fn merge(&mut self, other: &LoadReport) {
-        self.answered += other.answered;
-        self.code_200 += other.code_200;
-        self.code_400 += other.code_400;
-        self.code_408 += other.code_408;
-        self.code_413 += other.code_413;
-        self.code_500 += other.code_500;
-        self.code_502 += other.code_502;
-        self.code_503 += other.code_503;
-        self.code_other += other.code_other;
-        self.faults_slow_loris += other.faults_slow_loris;
-        self.faults_disconnect += other.faults_disconnect;
-        self.faults_oversize += other.faults_oversize;
-        self.faults_garbage += other.faults_garbage;
-        self.transport_errors += other.transport_errors;
-        self.cluster_kills += other.cluster_kills;
-        self.admin_ops += other.admin_ops;
-        self.admin_failures += other.admin_failures;
+    /// Count one answered request by its response code.
+    pub(crate) fn count_answer(&mut self, code: Option<u32>) {
+        self.answered += 1;
+        match code {
+            Some(200) => self.code_200 += 1,
+            Some(400) => self.code_400 += 1,
+            Some(408) => self.code_408 += 1,
+            Some(413) => self.code_413 += 1,
+            Some(500) => self.code_500 += 1,
+            Some(502) => self.code_502 += 1,
+            Some(503) => self.code_503 += 1,
+            _ => self.code_other += 1,
+        }
     }
 }
 
@@ -375,19 +362,8 @@ impl AdminDriver {
     }
 }
 
-/// Cross-thread view of the admin schedule for the closed-loop engine:
-/// workers bump the aggregate send counter and poll the driver.
-pub(crate) struct AdminShared {
-    sent: AtomicUsize,
-    driver: Mutex<AdminDriver>,
-}
-
-impl AdminShared {
-    fn tick(&self) {
-        let n = self.sent.fetch_add(1, Ordering::Relaxed) + 1;
-        self.driver.lock().unwrap().poll(n);
-    }
-}
+/// Bound on connecting and on each reply for the helper round trips.
+const HELPER_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One blocking admin round trip; true iff the router answered `200`.
 fn send_admin_action(addr: &str, action: &AdminAction) -> bool {
@@ -400,30 +376,20 @@ fn send_admin_action(addr: &str, action: &AdminAction) -> bool {
             format!(r#"{{"op":"remove_shard","id":"reconf-remove","shard":{shard}}}"#)
         }
     };
-    let Ok(mut c) = connect(addr) else {
-        return false;
-    };
     // A rolling restart blocks until the whole fleet has cycled.
-    let _ = c.stream.set_read_timeout(Some(Duration::from_secs(600)));
-    if c.stream
-        .write_all(frame.as_bytes())
-        .and_then(|()| c.stream.write_all(b"\n"))
-        .is_err()
-    {
-        return false;
-    }
-    let mut resp = String::new();
-    c.reader.read_line(&mut resp).is_ok() && response_code(&resp) == Some(200)
+    round_trip(addr, &frame, HELPER_TIMEOUT, Duration::from_secs(600))
+        .is_ok_and(|resp| response_code(&resp) == Some(200))
 }
 
 /// Ask the router's `topology` verb for the highest-id Up shard.
 fn newest_up_shard(addr: &str) -> Option<u32> {
-    let mut c = connect(addr).ok()?;
-    c.stream
-        .write_all(b"{\"op\":\"topology\",\"id\":\"reconf\"}\n")
-        .ok()?;
-    let mut resp = String::new();
-    c.reader.read_line(&mut resp).ok()?;
+    let resp = round_trip(
+        addr,
+        r#"{"op":"topology","id":"reconf"}"#,
+        HELPER_TIMEOUT,
+        HELPER_TIMEOUT,
+    )
+    .ok()?;
     let value = silentcert_obs::json::parse(&resp).ok()?;
     if value.get("code").and_then(|v| v.as_f64()) != Some(200.0) {
         return None;
@@ -437,17 +403,34 @@ fn newest_up_shard(addr: &str) -> Option<u32> {
         .max()
 }
 
+/// One blocking `chaos_kill_shard` against the router (cluster chaos
+/// runs only), folded into the report.
+pub(crate) fn fire_kill_shard(addr: &str, report: &mut LoadReport) {
+    let Ok(resp) = round_trip(
+        addr,
+        r#"{"op":"chaos_kill_shard","id":"chaos"}"#,
+        HELPER_TIMEOUT,
+        HELPER_TIMEOUT,
+    ) else {
+        return;
+    };
+    match response_code(&resp) {
+        Some(200) => report.cluster_kills += 1,
+        _ => report.code_other += 1,
+    }
+}
+
 /// Scrape the daemon's `metrics` verb: returns the raw JSON object of
 /// metric series, or `None` on any transport or parse failure.
 pub fn fetch_metrics(addr: &str) -> Option<String> {
-    let mut c = connect(addr).ok()?;
-    c.stream
-        .write_all(b"{\"op\":\"metrics\",\"id\":\"loadgen\"}\n")
-        .ok()?;
-    let mut resp = String::new();
-    c.reader.read_line(&mut resp).ok()?;
-    let resp = resp.trim_end();
-    if response_code(resp) != Some(200) {
+    let resp = round_trip(
+        addr,
+        r#"{"op":"metrics","id":"loadgen"}"#,
+        HELPER_TIMEOUT,
+        HELPER_TIMEOUT,
+    )
+    .ok()?;
+    if response_code(&resp) != Some(200) {
         return None;
     }
     // `metrics` is the last field of the response line, so its object
@@ -459,271 +442,33 @@ pub fn fetch_metrics(addr: &str) -> Option<String> {
 }
 
 /// Extract `"code":N` from a response line without a full JSON parse
-/// (the loadgen hot loop should stay cheap).
-fn response_code(line: &str) -> Option<u32> {
-    let idx = line.find("\"code\":")?;
-    let rest = &line[idx + 7..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-fn connect(addr: &str) -> std::io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(Conn { stream, reader })
-}
-
-/// One worker's slice of the run. Returns its partial report plus raw
-/// latency samples in microseconds.
-#[allow(clippy::too_many_lines)]
-fn client_thread(
-    opts: &LoadgenOptions,
-    requests: &[String],
-    worker: usize,
-    count: usize,
-    pace_us: u64,
-    admin: Option<&AdminShared>,
-) -> (LoadReport, Vec<u64>) {
-    // Deterministic thread labels so flushed traces sort identically
-    // regardless of how the OS names loadgen threads.
-    trace::set_thread_label(&format!("client-{worker}"));
-    let tracer = trace::tracer();
-    let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(worker as u64 * 0x9e37));
-    let mut report = LoadReport::default();
-    let mut latencies = Vec::with_capacity(count);
-    let mut conn: Option<Conn> = None;
-    let started = Instant::now();
-
-    for i in 0..count {
-        // Pace to the aggregate QPS target by scheduling each send at its
-        // ideal offset from the start of the run.
-        if pace_us > 0 {
-            let due = Duration::from_micros(pace_us * i as u64);
-            let elapsed = started.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-        }
-        // Aggregate send count drives the reconfiguration schedule.
-        if let Some(admin) = admin {
-            admin.tick();
-        }
-        // Mid-run failover chaos: worker 0 asks the router's supervisor
-        // to SIGKILL a shard, then keeps loading — the run itself is the
-        // failover window the cluster must absorb.
-        if worker == 0 && opts.kill_shard_at == Some(i) {
-            if let Ok(mut c) = connect(&opts.addr) {
-                let sent = c
-                    .stream
-                    .write_all(b"{\"op\":\"chaos_kill_shard\",\"id\":\"chaos\"}\n");
-                let mut resp = String::new();
-                if sent.is_ok() && c.reader.read_line(&mut resp).is_ok() {
-                    if response_code(&resp) == Some(200) {
-                        report.cluster_kills += 1;
-                    } else if !resp.is_empty() {
-                        report.code_other += 1;
-                    }
-                }
-            }
-        }
-        let line = &requests[(worker + i * opts.connections.max(1)) % requests.len()];
-        let fault = opts.faults.draw(&mut rng);
-
-        // Faults get their own throwaway connection so the main request
-        // stream keeps its connection healthy.
-        match fault {
-            Some(Fault::SlowLoris) => {
-                report.faults_slow_loris += 1;
-                if let Ok(mut c) = connect(&opts.addr) {
-                    let half = line.len() / 2;
-                    let _ = c.stream.write_all(line.as_bytes()[..half].as_ref());
-                    std::thread::sleep(Duration::from_millis(opts.stall_ms));
-                    // The server should have hung up on us by now; a
-                    // write or read failing is the expected outcome.
-                    drop(c);
-                }
-                continue;
-            }
-            Some(Fault::Disconnect) => {
-                report.faults_disconnect += 1;
-                if let Ok(mut c) = connect(&opts.addr) {
-                    let half = line.len() / 2;
-                    let _ = c.stream.write_all(line.as_bytes()[..half].as_ref());
-                    drop(c); // hang up mid-frame
-                }
-                continue;
-            }
-            Some(Fault::Oversize) => {
-                report.faults_oversize += 1;
-                if let Ok(mut c) = connect(&opts.addr) {
-                    let blob = vec![b'x'; opts.oversize_bytes];
-                    let _ = c.stream.write_all(&blob);
-                    let _ = c.stream.write_all(b"\n");
-                    let mut resp = String::new();
-                    if c.reader.read_line(&mut resp).is_ok() {
-                        if response_code(&resp) == Some(413) {
-                            report.code_413 += 1;
-                        } else if !resp.is_empty() {
-                            report.code_other += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            Some(Fault::Garbage) => {
-                report.faults_garbage += 1;
-                if let Ok(mut c) = connect(&opts.addr) {
-                    let _ = c.stream.write_all(b"\x01\x02{{{ not json\n");
-                    let mut resp = String::new();
-                    if c.reader.read_line(&mut resp).is_ok() {
-                        if response_code(&resp) == Some(400) {
-                            report.code_400 += 1;
-                        } else if !resp.is_empty() {
-                            report.code_other += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            None => {}
-        }
-
-        // Normal request on the persistent connection.
-        if conn.is_none() {
-            conn = connect(&opts.addr).ok();
-        }
-        let Some(c) = conn.as_mut() else {
-            report.transport_errors += 1;
-            continue;
-        };
-        let _request_span = tracer.span("loadgen.request");
-        let sent = Instant::now();
-        let wrote = c
-            .stream
-            .write_all(line.as_bytes())
-            .and_then(|()| c.stream.write_all(b"\n"));
-        if wrote.is_err() {
-            report.transport_errors += 1;
-            conn = None;
-            continue;
-        }
-        let mut resp = String::new();
-        match c.reader.read_line(&mut resp) {
-            Ok(n) if n > 0 => {
-                let lat = sent.elapsed().as_micros() as u64;
-                latencies.push(lat);
-                report.answered += 1;
-                match response_code(&resp) {
-                    Some(200) => report.code_200 += 1,
-                    Some(400) => report.code_400 += 1,
-                    Some(408) => report.code_408 += 1,
-                    Some(413) => report.code_413 += 1,
-                    Some(500) => report.code_500 += 1,
-                    Some(502) => report.code_502 += 1,
-                    Some(503) => report.code_503 += 1,
-                    _ => report.code_other += 1,
-                }
-            }
-            _ => {
-                report.transport_errors += 1;
-                conn = None;
-            }
-        }
-    }
-    (report, latencies)
+/// or UTF-8 validation (the engine's hot loop should stay cheap).
+pub(crate) fn response_code(line: impl AsRef<[u8]>) -> Option<u32> {
+    let line = line.as_ref();
+    let needle = b"\"code\":";
+    let idx = line.windows(needle.len()).position(|w| w == needle)?;
+    let rest = &line[idx + needle.len()..];
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()
 }
 
 /// Run the load generator against `opts.addr`, cycling through
-/// `requests` (pre-rendered request lines, newline-free).
+/// `requests` (pre-rendered request lines, newline-free). The engine is
+/// epoll-driven, so this exists on Linux only.
 ///
-/// With [`LoadgenOptions::open_loop`] set this delegates to the epoll
-/// multiplexing engine in [`crate::openloop`]; otherwise it runs the
-/// original thread-per-connection closed loop.
+/// # Panics
+///
+/// Panics if `requests` is empty.
+#[cfg(target_os = "linux")]
 pub fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
-    if opts.open_loop {
-        return crate::openloop::run(opts, requests);
-    }
-    run_closed(opts, requests)
-}
-
-/// The thread-per-connection closed-loop engine.
-pub(crate) fn run_closed(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
-    assert!(!requests.is_empty(), "loadgen needs at least one request");
-    let connections = opts.connections.max(1);
-    let per_worker = opts.requests / connections;
-    let remainder = opts.requests % connections;
-    // Each worker paces itself to its share of the aggregate QPS.
-    let pace_us = if opts.qps == 0 {
-        0
-    } else {
-        1_000_000 * connections as u64 / opts.qps.max(1)
-    };
-
-    let admin = AdminDriver::new(opts).map(|driver| AdminShared {
-        sent: AtomicUsize::new(0),
-        driver: Mutex::new(driver),
-    });
-    let started = Instant::now();
-    let mut partials = Vec::new();
-    std::thread::scope(|scope| {
-        let admin = admin.as_ref();
-        let handles: Vec<_> = (0..connections)
-            .map(|worker| {
-                let count = per_worker + usize::from(worker < remainder);
-                scope.spawn(move || client_thread(opts, requests, worker, count, pace_us, admin))
-            })
-            .collect();
-        for h in handles {
-            if let Ok(partial) = h.join() {
-                partials.push(partial);
-            }
-        }
-    });
-
-    let mut report = LoadReport::default();
-    let mut latencies = Vec::new();
-    for (partial, lat) in &partials {
-        report.merge(partial);
-        latencies.extend_from_slice(lat);
-    }
-    if let Some(shared) = admin {
-        shared
-            .driver
-            .into_inner()
-            .expect("admin driver lock")
-            .finish(&mut report);
-    }
-    report.elapsed_ms = started.elapsed().as_millis() as u64;
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-            latencies[idx.min(latencies.len() - 1)]
-        }
-    };
-    report.p50_us = pct(0.50);
-    report.p99_us = pct(0.99);
-    report.max_us = latencies.last().copied().unwrap_or(0);
-    if opts.scrape_metrics {
-        report.daemon_metrics = fetch_metrics(&opts.addr);
-    }
-    report
+    crate::openloop::run(opts, requests)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use rand::SeedableRng;
 
     #[test]
     fn fault_lottery_respects_rates() {

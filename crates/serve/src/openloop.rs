@@ -1,483 +1,632 @@
-//! The high-concurrency open-loop load engine.
+//! The load engine: every client connection and every injected fault,
+//! multiplexed on one thread over [`silentcert_net::epoll`].
 //!
-//! The closed-loop engine in [`crate::loadgen`] spawns one thread per
-//! connection, which tops out around a few hundred connections. This
-//! engine drives *all* connections from a single thread over the same
-//! raw-epoll readiness core the server uses ([`silentcert_net::epoll`]):
-//! each connection is a small state machine (requests queued → written →
-//! responses counted) and the loop multiplexes reads and writes across
-//! tens of thousands of them.
+//! Each client connection is a [`LineConn`] plus a queue of send
+//! instants: requests are queued up to the pipelining window
+//! ([`LoadgenOptions::pipeline`]), the server answers in FIFO order per
+//! connection, so latency attribution is popping the queue.
 //!
-//! Differences from the closed loop, by design:
-//!
-//! * **Connection ramp** ([`LoadgenOptions::ramp_ms`]): connection `c`
-//!   of `N` is established `ramp_ms * c / N` into the run, so a
-//!   50k-connection run doesn't present 50k SYNs to the listener in one
-//!   burst.
-//! * **Pipelining window** ([`LoadgenOptions::pipeline`]): each
-//!   connection keeps up to `pipeline` requests in flight; the server
-//!   answers in FIFO order per connection, so latency attribution is a
-//!   simple queue of send timestamps.
-//! * **Phase reporting**: the report carries `ramp` and `steady`
-//!   [`PhaseReport`] slices so regressions that only appear once every
-//!   connection is up are visible.
-//! * **No fault injection**: hostile-transport faults need their own
-//!   throwaway connections and blocking stalls; they stay on the
-//!   closed-loop engine (this engine asserts the plan is empty).
+//! * **Request slots.** Connection `c` of `N` owns an equal share of the
+//!   run's requests and sends its `i`-th as line `(c + i·N) mod len`.
+//!   Every slot ends in exactly one of: an answer, a transport error,
+//!   or a fault. A peer close turns the requests in flight on that
+//!   connection into transport errors, and the connection reconnects
+//!   for the rest of its share; each failed connect costs one slot.
+//! * **Pacing** ([`LoadgenOptions::qps`]): slot `k` of the aggregate
+//!   schedule is not sent before `k / qps` into the run, and a paced
+//!   request's latency runs from that scheduled instant, so a backed-up
+//!   server cannot hide queueing delay by slowing the sender.
+//! * **Faults** ([`LoadgenOptions::faults`]): a slot drawn as a fault
+//!   goes out on its own short-lived connection on the same poller, and
+//!   the main connection stays healthy.
+//! * **Connection ramp** ([`LoadgenOptions::ramp_ms`]) and the report's
+//!   `ramp` / `steady` [`PhaseReport`]s, so regressions that only
+//!   appear once every connection is up are visible.
 //! * Connections are held open until the post-run metrics scrape, so a
 //!   scrape of `silentcert_serve_event_loop_registered_fds` observes the
 //!   full connection count (the c10k CI job asserts exactly this).
-//!
-//! On non-Linux hosts this falls back to the closed-loop engine.
 
-use crate::loadgen::{LoadReport, LoadgenOptions};
+use crate::loadgen::{
+    fetch_metrics, fire_kill_shard, response_code, AdminDriver, Fault, LoadReport, LoadgenOptions,
+    PhaseReport,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use silentcert_net::client::LineConn;
+use silentcert_net::epoll::{Event, Poller};
+use silentcert_obs::trace::{self, Tracer};
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Run the open-loop engine (see module docs).
-///
-/// # Panics
-///
-/// Panics if `requests` is empty or `opts.faults` injects any faults —
-/// fault runs belong to the closed-loop engine.
-pub fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
-    assert!(!requests.is_empty(), "loadgen needs at least one request");
-    let f = &opts.faults;
-    assert!(
-        f.slow_loris_rate == 0.0
-            && f.disconnect_rate == 0.0
-            && f.oversize_rate == 0.0
-            && f.garbage_rate == 0.0,
-        "the open-loop engine does not support fault injection"
-    );
-    imp::run(opts, requests)
+/// Per-connection output high-water mark: refill pauses while this much
+/// is unflushed, bounding memory at huge connection counts.
+const MAX_OUT: usize = 64 * 1024;
+/// Abort the run if no slot is sent, answered or resolved for this long
+/// (a wedged server must fail the run, not hang it).
+const STALL_ABORT: Duration = Duration::from_secs(30);
+/// How long an oversize or garbage fault waits for its error reply.
+const FAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+/// Poller tokens at or above this name fault connections.
+const FAULT_TOKEN: u64 = 1 << 63;
+/// The garbage fault's frame: not JSON at all.
+const GARBAGE: &[u8] = b"\x01\x02{{{ not json\n";
+
+/// One client connection's share of the run.
+struct Client {
+    conn: Option<LineConn>,
+    /// Request slots this connection owns, and how many it has taken.
+    quota: usize,
+    next: usize,
+    /// Send instants of the requests awaiting answers, oldest first.
+    inflight: VecDeque<Instant>,
+    /// Waiting in [`Engine::paced`] for its next slot to come due.
+    paced: bool,
+    /// Every slot taken and resolved.
+    done: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use crate::loadgen::{fetch_metrics, AdminDriver, LoadReport, LoadgenOptions, PhaseReport};
-    use silentcert_net::epoll::{Event, Poller, EPOLLIN, EPOLLOUT};
-    use std::collections::VecDeque;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::os::fd::{AsRawFd, RawFd};
-    use std::time::{Duration, Instant};
+/// A fault in progress on its own connection.
+struct FaultConn {
+    conn: LineConn,
+    kind: Fault,
+    /// Given up on (and dropped) at this instant.
+    until: Instant,
+}
 
-    /// Per-connection output buffer high-water mark: refill pauses while
-    /// this much is unflushed, bounding memory at huge connection counts.
-    const MAX_OUT: usize = 64 * 1024;
-    /// Abort the run if nothing completes for this long (a wedged server
-    /// must fail the run, not hang it). Overridable for tests via
-    /// `SILENTCERT_LOADGEN_STALL_MS`.
-    fn stall_abort_ms() -> u64 {
-        std::env::var("SILENTCERT_LOADGEN_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000)
-    }
+struct Engine<'a> {
+    opts: &'a LoadgenOptions,
+    requests: &'a [String],
+    poller: Poller,
+    clients: Vec<Client>,
+    /// Clients not yet `done`; the run ends at zero.
+    active: usize,
+    /// Fault connections in flight, indexed by token minus
+    /// [`FAULT_TOKEN`]; `free` lists the empty slots.
+    faults: Vec<Option<FaultConn>>,
+    free: Vec<usize>,
+    /// The oversize fault's frame (empty unless that fault is enabled).
+    oversize: Vec<u8>,
+    rng: StdRng,
+    tracer: Arc<Tracer>,
+    report: LoadReport,
+    latencies: Vec<u64>,
+    started: Instant,
+    /// Slots taken across all clients: the aggregate send count.
+    sent: usize,
+    /// Interval between paced slots (`None`: unpaced).
+    pace: Option<Duration>,
+    /// Clients held back by pacing, in the order they asked.
+    paced: VecDeque<usize>,
+    last_progress: Instant,
+}
 
-    struct ClientConn {
-        stream: TcpStream,
-        fd: RawFd,
-        /// Unflushed request bytes (compacted on write).
-        out: Vec<u8>,
-        out_pos: usize,
-        /// Unparsed response bytes; `scanned` is the newline-search cursor.
-        inbuf: Vec<u8>,
-        scanned: usize,
-        /// Send timestamps of in-flight requests (responses are FIFO per
-        /// connection).
-        inflight: VecDeque<Instant>,
-        /// Next request ordinal for this connection.
-        next_req: usize,
-        target: usize,
-        answered: usize,
-        /// Pipelining window (max in-flight requests).
-        window: usize,
-        interest: u32,
-        dead: bool,
-        /// Peer sent EOF; premature if requests were still in flight.
-        eof: bool,
-    }
-
-    impl ClientConn {
-        fn finished(&self) -> bool {
-            self.dead || (self.answered >= self.target && self.inflight.is_empty())
-        }
-    }
-
-    /// Extract `"code":N` from a raw response line without UTF-8
-    /// validation or allocation.
-    fn code_of(line: &[u8]) -> Option<u32> {
-        let needle = b"\"code\":";
-        let idx = line.windows(needle.len()).position(|w| w == needle)?;
-        let rest = &line[idx + needle.len()..];
-        let end = rest
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(rest.len());
-        std::str::from_utf8(&rest[..end]).ok()?.parse().ok()
-    }
-
-    fn count_code(report: &mut LoadReport, code: Option<u32>) {
-        report.answered += 1;
-        match code {
-            Some(200) => report.code_200 += 1,
-            Some(400) => report.code_400 += 1,
-            Some(408) => report.code_408 += 1,
-            Some(413) => report.code_413 += 1,
-            Some(500) => report.code_500 += 1,
-            Some(502) => report.code_502 += 1,
-            Some(503) => report.code_503 += 1,
-            _ => report.code_other += 1,
-        }
-    }
-
-    /// Queue more pipelined requests on `conn` while its window and
-    /// output buffer allow.
-    fn refill(conn: &mut ClientConn, requests: &[String], worker: usize, connections: usize) {
-        while conn.inflight.len() < conn.window
-            && conn.next_req < conn.target
-            && conn.out.len() - conn.out_pos < MAX_OUT
-        {
-            let line = &requests[(worker + conn.next_req * connections) % requests.len()];
-            conn.out.extend_from_slice(line.as_bytes());
-            conn.out.push(b'\n');
-            conn.inflight.push_back(Instant::now());
-            conn.next_req += 1;
-        }
-    }
-
-    pub(super) fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
-        let connections = opts.connections.max(1);
-        let window = opts.pipeline.max(1);
-        let per_conn = opts.requests / connections;
-        let remainder = opts.requests % connections;
-
-        let Ok(mut poller) = Poller::new() else {
-            // No epoll available (containers with locked-down seccomp):
-            // degrade to the closed loop rather than fail the run.
-            return crate::loadgen::run_closed(opts, requests);
+/// Run the engine (see module docs).
+pub(crate) fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
+    assert!(!requests.is_empty(), "loadgen needs at least one request");
+    let connections = opts.connections.max(1);
+    let Ok(poller) = Poller::new() else {
+        // No epoll (a locked-down seccomp profile): nothing can be sent.
+        return LoadReport {
+            transport_errors: opts.requests as u64,
+            ..LoadReport::default()
         };
-        let mut conns: Vec<Option<ClientConn>> = (0..connections).map(|_| None).collect();
-        let mut report = LoadReport::default();
-        let mut latencies: Vec<u64> = Vec::with_capacity(opts.requests.min(1 << 22));
-        let started = Instant::now();
-        let mut next_connect = 0usize;
-        let mut ramp_done: Option<(Duration, usize)> = None;
-        let mut sent_total = 0usize;
-        let mut kill_fired = false;
-        let mut admin = AdminDriver::new(opts);
-        let stall_abort = stall_abort_ms();
-        let mut last_progress = Instant::now();
-        let mut events: Vec<Event> = Vec::new();
-        let mut scratch = vec![0u8; 64 * 1024];
+    };
+    let started = Instant::now();
+    let clients = (0..connections)
+        .map(|c| Client {
+            conn: None,
+            quota: opts.requests / connections + usize::from(c < opts.requests % connections),
+            next: 0,
+            inflight: VecDeque::new(),
+            paced: false,
+            done: false,
+        })
+        .collect();
+    let mut oversize = Vec::new();
+    if opts.faults.oversize_rate > 0.0 {
+        oversize = vec![b'x'; opts.oversize_bytes];
+        oversize.push(b'\n');
+    }
+    let mut e = Engine {
+        opts,
+        requests,
+        poller,
+        clients,
+        active: connections,
+        faults: Vec::new(),
+        free: Vec::new(),
+        oversize,
+        rng: StdRng::seed_from_u64(opts.seed),
+        tracer: trace::tracer(),
+        report: LoadReport::default(),
+        latencies: Vec::with_capacity(opts.requests.min(1 << 22)),
+        started,
+        sent: 0,
+        pace: (opts.qps > 0).then(|| Duration::from_nanos(1_000_000_000 / opts.qps)),
+        paced: VecDeque::new(),
+        last_progress: started,
+    };
 
+    let mut next_connect = 0usize;
+    let mut ramp_done: Option<(Duration, usize)> = None;
+    let mut kill_at = opts.kill_shard_at;
+    let mut admin = AdminDriver::new(opts);
+    let mut events: Vec<Event> = Vec::new();
+    loop {
+        // Establish connections that are due under the ramp schedule.
+        while next_connect < connections
+            && started.elapsed()
+                >= Duration::from_millis(opts.ramp_ms * next_connect as u64 / connections as u64)
+        {
+            e.connect(next_connect);
+            e.pump(next_connect, false);
+            next_connect += 1;
+        }
+        if ramp_done.is_none() && next_connect == connections {
+            ramp_done = Some((started.elapsed(), e.latencies.len()));
+        }
+        e.release_paced();
+        e.expire_faults();
+
+        // Mid-run shard kill and the reconfiguration schedule both key
+        // off the aggregate send count.
+        if kill_at.is_some_and(|at| e.sent >= at) {
+            kill_at = None;
+            fire_kill_shard(&opts.addr, &mut e.report);
+        }
+        if let Some(driver) = admin.as_mut() {
+            driver.poll(e.sent);
+        }
+
+        if e.active == 0 && e.free.len() == e.faults.len() {
+            break;
+        }
+        if e.last_progress.elapsed() >= STALL_ABORT {
+            e.abort();
+            break;
+        }
+
+        let timeout = e.wait_timeout(next_connect < connections);
+        events.clear(); // wait() appends; stale entries must not replay
+        let _ = e.poller.wait(&mut events, timeout);
+        for ev in &events {
+            if ev.token >= FAULT_TOKEN {
+                e.on_fault_event((ev.token - FAULT_TOKEN) as usize);
+            } else {
+                e.pump(ev.token as usize, ev.readable || ev.closing);
+            }
+        }
+    }
+
+    let mut report = std::mem::take(&mut e.report);
+    report.elapsed_ms = started.elapsed().as_millis() as u64;
+    // A reconfiguration still in flight must finish before the run
+    // reports (and before any trailing `--shutdown` drains the fleet
+    // mid-restart).
+    if let Some(driver) = admin.take() {
+        driver.finish(&mut report);
+    }
+    // Scrape while every connection is still open, so gauges sampled by
+    // the server (registered fds) reflect the full load.
+    if opts.scrape_metrics {
+        report.daemon_metrics = fetch_metrics(&opts.addr);
+    }
+    for client in &e.clients {
+        if let Some(conn) = &client.conn {
+            conn.deregister(&e.poller);
+        }
+    }
+    drop(e.clients);
+
+    let latencies = e.latencies;
+    let (ramp_elapsed, split) = ramp_done.unwrap_or((started.elapsed(), latencies.len()));
+    let mut sorted = latencies.clone();
+    sorted.sort_unstable();
+    report.p50_us = percentile(&sorted, 0.50);
+    report.p99_us = percentile(&sorted, 0.99);
+    report.max_us = sorted.last().copied().unwrap_or(0);
+    let ramp_ms = ramp_elapsed.as_millis() as u64;
+    report.phases = vec![
+        phase("ramp", &latencies[..split], ramp_ms),
+        phase(
+            "steady",
+            &latencies[split..],
+            report.elapsed_ms.saturating_sub(ramp_ms),
+        ),
+    ];
+    report
+}
+
+impl Engine<'_> {
+    /// Connect client `c` if it has none; each failed attempt costs one
+    /// of its slots, so a dead server exhausts the share instead of
+    /// hanging the run.
+    fn connect(&mut self, c: usize) {
+        while self.clients[c].conn.is_none() {
+            let attempt = LineConn::connect(&self.opts.addr).and_then(|mut conn| {
+                conn.register(&self.poller, c as u64, false)?;
+                Ok(conn)
+            });
+            let client = &mut self.clients[c];
+            match attempt {
+                Ok(conn) => client.conn = Some(conn),
+                Err(_) if client.next < client.quota => {
+                    client.next += 1;
+                    self.sent += 1;
+                    self.report.transport_errors += 1;
+                }
+                Err(_) => break,
+            }
+        }
+        self.settle(c);
+    }
+
+    /// Make progress on client `c`: take answers (when `readable`),
+    /// queue what the window and pacing allow, write, and keep the
+    /// registration in step. A broken or closed connection is replaced
+    /// while the client still has slots to send.
+    fn pump(&mut self, c: usize, mut readable: bool) {
         loop {
-            // Establish connections that are due under the ramp schedule.
-            while next_connect < connections {
-                let due =
-                    Duration::from_millis(opts.ramp_ms * next_connect as u64 / connections as u64);
-                if started.elapsed() < due {
-                    break;
+            let Client { conn, inflight, .. } = &mut self.clients[c];
+            let Some(conn) = conn.as_mut() else {
+                return;
+            };
+            let mut broken = false;
+            if readable {
+                broken = conn.fill().is_err();
+                while let Some(line) = conn.next_line() {
+                    let Some(stamp) = inflight.pop_front() else {
+                        continue; // an answer nobody asked for
+                    };
+                    let lat = stamp.elapsed();
+                    let lat_us = lat.as_micros() as u64;
+                    let lat_ms = lat.as_millis() as u64;
+                    self.latencies.push(lat_us);
+                    self.report.count_answer(response_code(line));
+                    let now_ms = self.tracer.now_ms();
+                    self.tracer.record_span(
+                        "loadgen.request",
+                        now_ms.saturating_sub(lat_ms),
+                        lat_ms,
+                    );
+                    self.last_progress = Instant::now();
                 }
-                let target = per_conn + usize::from(next_connect < remainder);
-                match TcpStream::connect(&opts.addr) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_nonblocking(true);
-                        let fd = stream.as_raw_fd();
-                        let mut conn = ClientConn {
-                            stream,
-                            fd,
-                            out: Vec::new(),
-                            out_pos: 0,
-                            inbuf: Vec::new(),
-                            scanned: 0,
-                            inflight: VecDeque::new(),
-                            next_req: 0,
-                            target,
-                            answered: 0,
-                            window,
-                            interest: 0,
-                            dead: false,
-                            eof: false,
-                        };
-                        refill(&mut conn, requests, next_connect, connections);
-                        pump(&mut conn, &mut report);
-                        let interest = desired_interest(&conn);
-                        if poller.add(fd, interest, next_connect as u64).is_ok() {
-                            conn.interest = interest;
-                            conns[next_connect] = Some(conn);
-                        } else {
-                            report.transport_errors += 1;
-                        }
-                    }
-                    Err(_) => {
-                        report.transport_errors += 1;
-                    }
-                }
-                next_connect += 1;
+                broken |= conn.at_eof();
             }
-            if ramp_done.is_none() && next_connect == connections {
-                ramp_done = Some((started.elapsed(), latencies.len()));
+            if !broken {
+                self.refill(c);
+                let client = &mut self.clients[c];
+                let conn = client.conn.as_mut().expect("refill keeps the connection");
+                broken = conn.flush().is_err()
+                    || conn
+                        .reregister(&self.poller, c as u64, !client.inflight.is_empty())
+                        .is_err();
             }
+            if !broken {
+                self.settle(c);
+                return;
+            }
+            self.drop_conn(c);
+            if self.clients[c].next < self.clients[c].quota {
+                self.connect(c);
+            }
+            readable = false;
+        }
+    }
 
-            // Mid-run shard kill for cluster chaos runs.
-            if let Some(at) = opts.kill_shard_at {
-                if !kill_fired && sent_total >= at {
-                    kill_fired = true;
-                    fire_kill_shard(&opts.addr, &mut report);
-                }
-            }
-
-            // Done?
-            if next_connect == connections
-                && conns
-                    .iter()
-                    .all(|c| c.as_ref().is_none_or(ClientConn::finished))
+    /// Queue requests on client `c` while its window, output buffer,
+    /// share and the pacing schedule allow. A slot drawn as a fault is
+    /// spent on its own connection instead.
+    fn refill(&mut self, c: usize) {
+        let window = self.opts.pipeline.max(1);
+        let connections = self.clients.len();
+        let requests = self.requests;
+        loop {
+            let client = &mut self.clients[c];
+            let Some(conn) = client.conn.as_mut() else {
+                return;
+            };
+            if client.next >= client.quota
+                || client.inflight.len() >= window
+                || conn.unflushed() >= MAX_OUT
             {
-                break;
+                return;
             }
-            if last_progress.elapsed() >= Duration::from_millis(stall_abort) {
-                // Wedged: every conn still unfinished counts as a
-                // transport failure so CI sees a hard signal.
-                let mut stuck = 0u64;
-                for (idx, conn) in conns.iter().enumerate() {
-                    let Some(c) = conn else { continue };
-                    if !c.finished() {
-                        stuck += 1;
-                        eprintln!(
-                            "# openloop stall: conn {idx} inflight={} out={}/{} next={}/{} answered={} interest={:#x} inbuf={}",
-                            c.inflight.len(), c.out_pos, c.out.len(), c.next_req,
-                            c.target, c.answered, c.interest, c.inbuf.len()
-                        );
+            let stamp = match self.pace {
+                None => Instant::now(),
+                Some(interval) => {
+                    let due = self.started + interval * self.sent as u32;
+                    if due > Instant::now() {
+                        if !client.paced {
+                            client.paced = true;
+                            self.paced.push_back(c);
+                        }
+                        return;
                     }
+                    due
                 }
-                report.transport_errors += stuck;
-                break;
+            };
+            let line = &requests[(c + client.next * connections) % requests.len()];
+            client.next += 1;
+            self.sent += 1;
+            self.last_progress = Instant::now();
+            match self.opts.faults.draw(&mut self.rng) {
+                None => {
+                    conn.queue_line(line.as_bytes());
+                    client.inflight.push_back(stamp);
+                }
+                Some(kind) => self.start_fault(kind, line.as_bytes()),
             }
-
-            // Wait for readiness (bounded so the ramp schedule and the
-            // stall guard stay live).
-            let timeout = if next_connect < connections { 5 } else { 100 };
-            events.clear(); // wait() appends; stale entries must not replay
-            let _ = poller.wait(&mut events, timeout);
-            for ev in events.iter().copied() {
-                let idx = ev.token as usize;
-                let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                    continue;
-                };
-                if conn.dead {
-                    continue;
-                }
-                let before = conn.answered;
-                if ev.readable || ev.closing {
-                    on_readable(conn, &mut scratch, &mut report, &mut latencies);
-                }
-                if (ev.closing || conn.eof) && !conn.dead && !conn.finished() {
-                    conn.dead = true;
-                    report.transport_errors += 1;
-                }
-                if !conn.dead {
-                    refill(conn, requests, idx, connections);
-                    pump(conn, &mut report);
-                    let want = desired_interest(conn);
-                    if want != conn.interest {
-                        let _ = poller.modify(conn.fd, want, idx as u64);
-                        conn.interest = want;
-                    }
-                }
-                if conn.answered > before {
-                    last_progress = Instant::now();
-                }
-                if conn.dead {
-                    let _ = poller.delete(conn.fd);
-                }
-            }
-            // Aggregate sends drive the kill-shard trigger and the
-            // reconfiguration schedule.
-            sent_total = conns.iter().flatten().map(|c| c.next_req).sum::<usize>();
-            if let Some(driver) = admin.as_mut() {
-                driver.poll(sent_total);
-            }
-        }
-
-        report.elapsed_ms = started.elapsed().as_millis() as u64;
-        // A reconfiguration still in flight must finish before the run
-        // reports (and before any trailing `--shutdown` drains the
-        // fleet mid-restart).
-        if let Some(driver) = admin.take() {
-            driver.finish(&mut report);
-        }
-
-        // Scrape while every connection is still open, so gauges sampled
-        // by the server (registered fds) reflect the full load.
-        if opts.scrape_metrics {
-            report.daemon_metrics = fetch_metrics(&opts.addr);
-        }
-        for conn in conns.iter().flatten() {
-            let _ = poller.delete(conn.fd);
-        }
-        drop(conns);
-
-        // Percentiles + phase split.
-        let (ramp_elapsed, split) =
-            ramp_done.map_or((started.elapsed(), latencies.len()), |(d, s)| (d, s));
-        let mut sorted = latencies.clone();
-        sorted.sort_unstable();
-        report.p50_us = percentile(&sorted, 0.50);
-        report.p99_us = percentile(&sorted, 0.99);
-        report.max_us = sorted.last().copied().unwrap_or(0);
-        let ramp_ms = ramp_elapsed.as_millis() as u64;
-        report.phases = vec![
-            phase("ramp", &latencies[..split], ramp_ms),
-            phase(
-                "steady",
-                &latencies[split..],
-                report.elapsed_ms.saturating_sub(ramp_ms),
-            ),
-        ];
-        report
-    }
-
-    fn phase(name: &'static str, lat: &[u64], elapsed_ms: u64) -> PhaseReport {
-        let mut sorted = lat.to_vec();
-        sorted.sort_unstable();
-        PhaseReport {
-            name,
-            answered: lat.len() as u64,
-            elapsed_ms,
-            p50_us: percentile(&sorted, 0.50),
-            p99_us: percentile(&sorted, 0.99),
         }
     }
 
-    fn percentile(sorted: &[u64], p: f64) -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-            sorted[idx.min(sorted.len() - 1)]
-        }
-    }
-
-    fn desired_interest(conn: &ClientConn) -> u32 {
-        let mut want = 0;
-        if !conn.finished() && !conn.inflight.is_empty() {
-            want |= EPOLLIN;
-        }
-        if conn.out_pos < conn.out.len() {
-            want |= EPOLLOUT;
-        }
-        want
-    }
-
-    /// Flush as much queued output as the socket accepts.
-    fn pump(conn: &mut ClientConn, report: &mut LoadReport) {
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    conn.dead = true;
-                    report.transport_errors += 1;
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    report.transport_errors += 1;
-                    return;
-                }
-            }
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos > MAX_OUT {
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
-    }
-
-    /// Drain readable bytes and account completed response lines.
-    fn on_readable(
-        conn: &mut ClientConn,
-        scratch: &mut [u8],
-        report: &mut LoadReport,
-        latencies: &mut Vec<u64>,
-    ) {
-        loop {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    // EOF: parse what's buffered, then the caller decides
-                    // whether this was premature.
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&scratch[..n]);
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    report.transport_errors += 1;
-                    return;
-                }
-            }
-        }
-        while let Some(pos) = conn.inbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
-            let end = conn.scanned + pos;
-            let code = code_of(&conn.inbuf[..end]);
-            conn.inbuf.drain(..=end);
-            conn.scanned = 0;
-            if let Some(sent) = conn.inflight.pop_front() {
-                latencies.push(sent.elapsed().as_micros() as u64);
-                count_code(report, code);
-                conn.answered += 1;
-            }
-        }
-        conn.scanned = conn.inbuf.len();
-    }
-
-    /// One-off blocking `chaos_kill_shard` against the router (cluster
-    /// chaos runs only).
-    fn fire_kill_shard(addr: &str, report: &mut LoadReport) {
-        let Ok(mut stream) = TcpStream::connect(addr) else {
+    /// Hand due slots to the clients pacing held back, oldest first.
+    fn release_paced(&mut self) {
+        let Some(interval) = self.pace else {
             return;
         };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        if stream
-            .write_all(b"{\"op\":\"chaos_kill_shard\",\"id\":\"chaos\"}\n")
+        while let Some(&c) = self.paced.front() {
+            if self.started + interval * self.sent as u32 > Instant::now() {
+                return;
+            }
+            self.paced.pop_front();
+            self.clients[c].paced = false;
+            self.pump(c, false);
+        }
+    }
+
+    /// Count the requests in flight on client `c`'s connection as
+    /// transport errors and close it.
+    fn drop_conn(&mut self, c: usize) {
+        let client = &mut self.clients[c];
+        if let Some(conn) = client.conn.take() {
+            conn.deregister(&self.poller);
+        }
+        self.report.transport_errors += client.inflight.len() as u64;
+        client.inflight.clear();
+        self.settle(c);
+    }
+
+    /// Mark client `c` done once its whole share is resolved.
+    fn settle(&mut self, c: usize) {
+        let client = &mut self.clients[c];
+        if !client.done && client.next >= client.quota && client.inflight.is_empty() {
+            client.done = true;
+            self.active -= 1;
+        }
+    }
+
+    /// Spend one slot on `kind`. Only its outcome is counted: the `413`
+    /// or `400` an oversize or garbage frame must draw; a slow-loris or
+    /// disconnect is done when the socket is.
+    fn start_fault(&mut self, kind: Fault, line: &[u8]) {
+        let r = &mut self.report;
+        match kind {
+            Fault::SlowLoris => r.faults_slow_loris += 1,
+            Fault::Disconnect => r.faults_disconnect += 1,
+            Fault::Oversize => r.faults_oversize += 1,
+            Fault::Garbage => r.faults_garbage += 1,
+        }
+        let Ok(mut conn) = LineConn::connect(&self.opts.addr) else {
+            return;
+        };
+        match kind {
+            Fault::SlowLoris | Fault::Disconnect => conn.queue(&line[..line.len() / 2]),
+            Fault::Oversize => conn.queue(&self.oversize),
+            Fault::Garbage => conn.queue(GARBAGE),
+        }
+        if conn.flush().is_err() || kind == Fault::Disconnect {
+            return; // dropping the connection hangs up mid-frame
+        }
+        let hold = match kind {
+            Fault::SlowLoris => Duration::from_millis(self.opts.stall_ms),
+            _ => FAULT_REPLY_TIMEOUT,
+        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.faults.push(None);
+            self.faults.len() - 1
+        });
+        if conn
+            .register(&self.poller, FAULT_TOKEN + slot as u64, true)
             .is_err()
         {
+            self.free.push(slot);
             return;
         }
-        let mut buf = Vec::new();
-        let mut byte = [0u8; 1];
-        while let Ok(1) = stream.read(&mut byte) {
-            if byte[0] == b'\n' {
-                break;
+        self.faults[slot] = Some(FaultConn {
+            conn,
+            kind,
+            until: Instant::now() + hold,
+        });
+    }
+
+    fn on_fault_event(&mut self, slot: usize) {
+        let Some(f) = self.faults.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        // Read even when the write failed: a server that cut an
+        // oversize frame short has already sent its 413.
+        let wrote = f.conn.flush();
+        let read = f.conn.fill();
+        let kind = f.kind;
+        let Some(code) = f.conn.next_line().map(response_code) else {
+            let open = wrote.is_ok() && read.is_ok() && !f.conn.at_eof();
+            if !open
+                || f.conn
+                    .reregister(&self.poller, FAULT_TOKEN + slot as u64, true)
+                    .is_err()
+            {
+                self.close_fault(slot);
             }
-            buf.push(byte[0]);
+            return;
+        };
+        match (kind, code) {
+            (Fault::Oversize, Some(413)) => self.report.code_413 += 1,
+            (Fault::Garbage, Some(400)) => self.report.code_400 += 1,
+            (Fault::Oversize | Fault::Garbage, _) => self.report.code_other += 1,
+            (Fault::SlowLoris | Fault::Disconnect, _) => {}
         }
-        match code_of(&buf) {
-            Some(200) => report.cluster_kills += 1,
-            Some(_) => report.code_other += 1,
-            None => {}
+        self.close_fault(slot);
+    }
+
+    /// Drop fault connections whose hold has run out.
+    fn expire_faults(&mut self) {
+        let now = Instant::now();
+        for slot in 0..self.faults.len() {
+            if self.faults[slot].as_ref().is_some_and(|f| f.until <= now) {
+                self.close_fault(slot);
+            }
         }
+    }
+
+    fn close_fault(&mut self, slot: usize) {
+        if let Some(f) = self.faults[slot].take() {
+            f.conn.deregister(&self.poller);
+            self.free.push(slot);
+            self.last_progress = Instant::now();
+        }
+    }
+
+    /// Give up on a wedged run: every unresolved slot is a transport
+    /// error, so CI sees a hard signal.
+    fn abort(&mut self) {
+        let mut stuck = 0;
+        for client in self.clients.iter_mut().filter(|c| !c.done) {
+            stuck += 1;
+            self.report.transport_errors +=
+                (client.inflight.len() + client.quota - client.next) as u64;
+        }
+        eprintln!(
+            "# loadgen stall: {stuck} connections unfinished after {}s without progress",
+            STALL_ABORT.as_secs()
+        );
+    }
+
+    /// How long the poller may sleep: short while the ramp is
+    /// connecting, and never past the next paced slot or fault hold.
+    fn wait_timeout(&self, ramping: bool) -> i32 {
+        let now = Instant::now();
+        let mut until = now + Duration::from_millis(if ramping { 5 } else { 100 });
+        if let (Some(interval), false) = (self.pace, self.paced.is_empty()) {
+            until = until.min(self.started + interval * self.sent as u32);
+        }
+        for f in self.faults.iter().flatten() {
+            until = until.min(f.until);
+        }
+        // Round up so a due instant is never slept short of.
+        let wait = until.saturating_duration_since(now);
+        wait.as_micros().div_ceil(1_000) as i32
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod imp {
-    use crate::loadgen::{LoadReport, LoadgenOptions};
+fn phase(name: &'static str, lat: &[u64], elapsed_ms: u64) -> PhaseReport {
+    let mut sorted = lat.to_vec();
+    sorted.sort_unstable();
+    PhaseReport {
+        name,
+        answered: lat.len() as u64,
+        elapsed_ms,
+        p50_us: percentile(&sorted, 0.50),
+        p99_us: percentile(&sorted, 0.99),
+    }
+}
 
-    pub(super) fn run(opts: &LoadgenOptions, requests: &[String]) -> LoadReport {
-        crate::loadgen::run_closed(opts, requests)
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        0
+    } else {
+        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+        sorted[idx.min(sorted.len() - 1)]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    /// A line server answering `{"code":200}` per line; with
+    /// `close_after`, each connection hangs up after that many answers.
+    fn line_server(close_after: Option<usize>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { return };
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut writer = stream;
+                    let mut line = String::new();
+                    for _ in 0..close_after.unwrap_or(usize::MAX) {
+                        line.clear();
+                        if reader.read_line(&mut line).unwrap_or(0) == 0
+                            || writer.write_all(b"{\"code\":200}\n").is_err()
+                        {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    fn options(addr: String) -> LoadgenOptions {
+        LoadgenOptions {
+            addr,
+            connections: 1,
+            requests: 10,
+            scrape_metrics: false,
+            ..LoadgenOptions::default()
+        }
+    }
+
+    fn lines() -> Vec<String> {
+        vec![r#"{"op":"health","id":"t"}"#.to_string()]
+    }
+
+    #[test]
+    fn a_peer_close_loses_no_request_slot() {
+        for pipeline in [1, 4] {
+            let report = run(
+                &LoadgenOptions {
+                    pipeline,
+                    ..options(line_server(Some(3)))
+                },
+                &lines(),
+            );
+            assert_eq!(
+                report.answered + report.transport_errors,
+                10,
+                "pipeline {pipeline}: every slot counted once: {report:?}"
+            );
+            // Each connection answers 3 and loses at most a window of
+            // requests in flight at the close before reconnecting.
+            let least = if pipeline == 1 { 8 } else { 6 };
+            assert!(report.answered >= least, "pipeline {pipeline}: {report:?}");
+            assert_eq!(report.code_200, report.answered);
+        }
+    }
+
+    #[test]
+    fn qps_paces_the_aggregate_schedule() {
+        let started = Instant::now();
+        let report = run(
+            &LoadgenOptions {
+                connections: 2,
+                requests: 200,
+                qps: 1_000,
+                ..options(line_server(None))
+            },
+            &lines(),
+        );
+        let elapsed = started.elapsed();
+        assert_eq!(report.answered, 200, "{report:?}");
+        assert!(
+            elapsed >= Duration::from_millis(190),
+            "200 requests at 1000 qps took only {elapsed:?}"
+        );
     }
 }

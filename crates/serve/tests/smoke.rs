@@ -10,6 +10,7 @@
 
 use silentcert_crypto::hex;
 use silentcert_crypto::sig::{KeyPair, SimKeyPair};
+#[cfg(target_os = "linux")]
 use silentcert_serve::loadgen::{self, ClientFaultPlan, LoadgenOptions};
 use silentcert_serve::{journal, server, BreakerConfig, ServeConfig};
 use silentcert_validate::{TrustStore, Validator};
@@ -120,6 +121,7 @@ fn send_line(addr: &str, line: &str) -> Option<String> {
     Some(resp)
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     let p = pki();
@@ -218,6 +220,89 @@ fn daemon_survives_chaos_and_drains_to_a_replayable_journal() {
     let _ = std::fs::remove_file(&journal_path);
 }
 
+/// One fault kind at a time, at rate 1.0, against a daemon with a short
+/// read timeout: every slot is counted as that fault, and each fault
+/// draws the reaction it exists to provoke.
+#[cfg(target_os = "linux")]
+#[test]
+fn each_client_fault_draws_its_daemon_reaction() {
+    let p = pki();
+    let config = ServeConfig {
+        workers: 1,
+        read_timeout_ms: 100,
+        max_frame_bytes: 4_096,
+        ..ServeConfig::default()
+    };
+    let handle = server::start(config, {
+        let mut v = Validator::new(TrustStore::from_roots([p.root.clone()]));
+        v.add_intermediate(&p.intermediate);
+        Arc::new(v)
+    })
+    .expect("bind");
+    let addr = handle.addr().to_string();
+    let requests = request_mix(&p, false);
+    let stat = |key: &str| -> f64 {
+        let stats = send_line(&addr, r#"{"op":"stats","id":"st"}"#).expect("stats");
+        let v = silentcert_obs::json::parse(stats.trim()).expect("stats parses");
+        v.get(key).and_then(|x| x.as_f64()).expect("stats field")
+    };
+    let none = ClientFaultPlan::default();
+    let plans = [
+        ClientFaultPlan {
+            slow_loris_rate: 1.0,
+            ..none
+        },
+        ClientFaultPlan {
+            oversize_rate: 1.0,
+            ..none
+        },
+        ClientFaultPlan {
+            garbage_rate: 1.0,
+            ..none
+        },
+        ClientFaultPlan {
+            disconnect_rate: 1.0,
+            ..none
+        },
+    ];
+    for faults in plans {
+        let loris_before = stat("slow_loris_closed");
+        let report = loadgen::run(
+            &LoadgenOptions {
+                addr: addr.clone(),
+                connections: 2,
+                requests: 6,
+                faults,
+                // Far past the daemon's read timeout: the daemon, not
+                // the client, must end each slow-loris connection.
+                stall_ms: 10_000,
+                // Several of the daemon's 64 KiB reads, so the cap
+                // trips before the frame's newline arrives.
+                oversize_bytes: 256 * 1024,
+                scrape_metrics: false,
+                ..LoadgenOptions::default()
+            },
+            &requests,
+        );
+        let slots = report.faults_slow_loris
+            + report.faults_oversize
+            + report.faults_garbage
+            + report.faults_disconnect;
+        assert_eq!(slots, 6, "{faults:?}: {report:?}");
+        assert_eq!(report.answered + report.transport_errors, 0, "{report:?}");
+        assert_eq!(report.code_other, 0, "{report:?}");
+        assert_eq!(report.code_413, report.faults_oversize, "{report:?}");
+        assert_eq!(report.code_400, report.faults_garbage, "{report:?}");
+        assert_eq!(
+            (stat("slow_loris_closed") - loris_before) as u64,
+            report.faults_slow_loris,
+            "{report:?}"
+        );
+    }
+    handle.shutdown();
+    assert!(handle.wait().clean);
+}
+
 /// Minimal Prometheus text-format check: every sample line is
 /// `name[{labels}] value`, every series name was declared by a
 /// preceding `# HELP` + `# TYPE` pair (exposition 0.0.4), and each
@@ -282,6 +367,7 @@ fn check_prometheus(text: &str) -> std::collections::BTreeMap<String, f64> {
 /// exposition parses and carries non-zero shed and latency series,
 /// whose JSON snapshot folds into the loadgen report, and whose cells
 /// agree with the legacy `stats` verb.
+#[cfg(target_os = "linux")]
 #[test]
 fn chaos_loadgen_yields_parseable_prometheus_metrics() {
     let p = pki();
